@@ -31,7 +31,6 @@
 #include "math/stats.hpp"
 #include "obs/obs.hpp"
 #include "road/network.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "testing/json.hpp"
 
@@ -115,10 +114,10 @@ int main() {
   }
   const double serial_s = seconds_since(t_serial);
 
-  runtime::StageMetrics metrics;
+  // Stage summaries read the obs span totals of the batch run onward.
+  rge::obs::set_tracing(true);
   const auto t_batch = std::chrono::steady_clock::now();
-  const auto batch =
-      core::run_pipeline_batch(traces, car, cfg, kThreads, &metrics);
+  const auto batch = core::run_pipeline_batch(traces, car, cfg, kThreads);
   const double batch_s = seconds_since(t_batch);
 
   bool identical = batch.size() == serial.size();
@@ -136,14 +135,11 @@ int main() {
   // Upload: re-key each fused track to map-matched road distance. All 12
   // rekey calls share one cached RoadMatcher (match.grid_build stays 1).
   std::vector<core::GradeTrack> uploads;
-  {
-    const runtime::ScopedTimer match_timer(&metrics.match_ns);
-    for (int v = 0; v < kVehicles; ++v) {
-      auto keyed = core::rekey_track_by_road(batch[v].fused, route,
-                                             drives[v].trace.gps);
-      keyed.source = "vehicle-" + std::to_string(v);
-      uploads.push_back(std::move(keyed));
-    }
+  for (int v = 0; v < kVehicles; ++v) {
+    auto keyed =
+        core::rekey_track_by_road(batch[v].fused, route, drives[v].trace.gps);
+    keyed.source = "vehicle-" + std::to_string(v);
+    uploads.push_back(std::move(keyed));
   }
 
   core::FusionConfig fc;
@@ -157,7 +153,7 @@ int main() {
                                                uploads.begin() + k);
     const core::GradeTrack fused =
         k == 1 ? subset[0]
-               : core::fuse_tracks_distance_batch(subset, fc, pool, &metrics);
+               : core::fuse_tracks_distance_batch(subset, fc, pool);
     std::vector<double> abs_err;
     for (std::size_t i = 0; i < fused.s.size(); ++i) {
       const double s = fused.s[i];
@@ -169,7 +165,11 @@ int main() {
                 math::median(abs_err), math::percentile(abs_err, 0.9));
     if (k == kVehicles) cohort_full_mae = math::mean(abs_err);
   }
-  std::printf("stage metrics: %s\n", metrics.summary().c_str());
+  std::printf("stage spans: %s\n", bench::stage_summary().c_str());
+  // Span recording stays off through Part 2's timed loops (a span per
+  // matched chunk would be a visible share of the indexed matcher's time)
+  // except around the bulk rebuild, which the second summary reports.
+  rge::obs::set_tracing(false);
 
   // ================= Part 2: serving layer at fleet scale ==============
   // 40 km winding route, 200 uploads covering (nearly) all of it.
@@ -226,7 +226,9 @@ int main() {
   // Bulk (re)build of the same map on the pool: fixed-chunk partial
   // accumulators merged in index order — deterministic for any pool size.
   core::FusionAccumulator bulk(grid, fleet_cfg);
-  bulk.add_tracks_parallel(fleet, pool, &metrics);
+  rge::obs::set_tracing(true);
+  bulk.add_tracks_parallel(fleet, pool);
+  rge::obs::set_tracing(false);
   const core::GradeTrack bulk_map = bulk.snapshot();
   const double bulk_mae_vs_stream = [&] {
     double m = 0.0;
@@ -291,7 +293,7 @@ int main() {
       kChunks, kFixesPerChunk, matcher.vertex_count() - 1, brute_ms,
       indexed_ms, brute_ms / indexed_ms,
       sum_idx == sum_brute ? "yes" : "NO");
-  std::printf("stage metrics: %s\n", metrics.summary().c_str());
+  std::printf("stage spans: %s\n", bench::stage_summary().c_str());
 
   // Observability: the serving counters this workload exercised.
   const auto snap = obs::Registry::global().snapshot();

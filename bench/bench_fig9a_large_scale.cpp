@@ -12,7 +12,7 @@
 #include "math/angles.hpp"
 #include "math/stats.hpp"
 #include "road/network.hpp"
-#include "runtime/metrics.hpp"
+#include "obs/obs.hpp"
 
 int main() {
   using namespace rge;
@@ -47,11 +47,12 @@ int main() {
   }
 
   // ---- Phase 2: estimate all trips on the parallel batch runtime. -----
-  runtime::StageMetrics metrics;
+  obs::set_tracing(true);  // per-stage times come from the obs spans
   const auto results = core::run_pipeline_batch(
-      traces, bench::default_vehicle(), {}, /*n_threads=*/0, &metrics);
+      traces, bench::default_vehicle(), {}, /*n_threads=*/0);
+  obs::set_tracing(false);
   std::printf("batch runtime over %zu trips: %s\n", results.size(),
-              metrics.summary().c_str());
+              bench::stage_summary().c_str());
 
   // ---- Phase 3: evaluate against ground truth. ------------------------
   std::size_t idx = 0;

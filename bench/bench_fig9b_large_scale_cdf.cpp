@@ -9,7 +9,7 @@
 #include "core/pipeline.hpp"
 #include "math/angles.hpp"
 #include "road/network.hpp"
-#include "runtime/metrics.hpp"
+#include "obs/obs.hpp"
 
 int main() {
   using namespace rge;
@@ -70,10 +70,11 @@ int main() {
     traces.push_back(drives.back().trace);
     ++sim_idx;
   }
-  rge::runtime::StageMetrics metrics;
+  obs::set_tracing(true);  // per-stage times come from the obs spans
   const auto ops_results = core::run_pipeline_batch(
-      traces, bench::default_vehicle(), {}, /*n_threads=*/0, &metrics);
-  std::printf("OPS batch runtime: %s\n", metrics.summary().c_str());
+      traces, bench::default_vehicle(), {}, /*n_threads=*/0);
+  obs::set_tracing(false);
+  std::printf("OPS batch runtime: %s\n", bench::stage_summary().c_str());
 
   for (std::size_t idx = 0; idx < drives.size(); ++idx) {
     const bench::Drive& d = drives[idx];

@@ -4,6 +4,7 @@
 
 #include "baselines/ekf_altitude.hpp"
 #include "math/stats.hpp"
+#include "obs/obs.hpp"
 
 namespace rge::bench {
 
@@ -78,6 +79,36 @@ void print_header(const std::string& title, const std::string& paper_ref) {
   std::printf("%s\n", title.c_str());
   std::printf("reproduces: %s\n", paper_ref.c_str());
   std::printf("======================================================\n");
+}
+
+std::string stage_summary() {
+  const auto totals = obs::span_totals();
+  const auto total = [&](const char* name) {
+    const auto it = totals.find(name);
+    return it == totals.end() ? obs::SpanTotal{} : it->second;
+  };
+  const auto ms = [&](std::initializer_list<const char*> names) {
+    std::int64_t ns = 0;
+    for (const char* name : names) ns += total(name).total_ns;
+    return static_cast<double>(ns) * 1e-6;
+  };
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "trips=%lld | align %.1f ms | detect %.1f ms | ekf %.1f ms | "
+                "fuse %.1f ms",
+                static_cast<long long>(total("pipeline.trip").count),
+                ms({"pipeline.align"}), ms({"pipeline.detect"}),
+                ms({"pipeline.ekf"}),
+                ms({"pipeline.fuse", "fusion.distance_batch"}));
+  std::string out = buf;
+  for (const auto& [label, name] :
+       {std::pair{"match", "match.track"},
+        std::pair{"accumulate", "fusion.add_tracks_parallel"}}) {
+    if (total(name).count == 0) continue;
+    std::snprintf(buf, sizeof(buf), " | %s %.1f ms", label, ms({name}));
+    out += buf;
+  }
+  return out;
 }
 
 void print_cdf(const std::string& label, const std::vector<double>& samples,

@@ -72,6 +72,12 @@ void print_header(const std::string& title, const std::string& paper_ref);
 void print_cdf(const std::string& label, const std::vector<double>& samples,
                double max_err_deg = 1.0, std::size_t points = 11);
 
+/// One-line per-stage report read from the obs span totals (see
+/// obs::span_totals(); needs obs::set_tracing(true) beforehand), e.g.
+/// "trips=12 | align 1.2 ms | detect 3.4 ms | ekf 250.0 ms | fuse 8.9 ms".
+/// Times sum over threads; match/accumulate appear only when recorded.
+std::string stage_summary();
+
 /// Median of a sample set (convenience).
 double median_of(const std::vector<double>& xs);
 

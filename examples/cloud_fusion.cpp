@@ -19,8 +19,8 @@
 #include "core/track_fusion.hpp"
 #include "math/angles.hpp"
 #include "math/stats.hpp"
+#include "obs/obs.hpp"
 #include "road/network.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sensors/smartphone.hpp"
 #include "vehicle/trip.hpp"
@@ -49,11 +49,26 @@ int main() {
 
   // The cloud side runs every trip through the parallel batch runtime —
   // same results as per-trip estimate_gradient calls, bit for bit, but
-  // trips and per-source EKFs fan out across a thread pool.
-  runtime::StageMetrics metrics;
+  // trips and per-source EKFs fan out across a thread pool. Every stage
+  // records an obs span; with tracing on, span_totals() sums them by name
+  // (times add up across the pool's threads).
+  obs::set_tracing(true);
   const auto results =
-      core::run_pipeline_batch(traces, car, {}, /*n_threads=*/4, &metrics);
-  std::printf("batch runtime: %s\n", metrics.summary().c_str());
+      core::run_pipeline_batch(traces, car, {}, /*n_threads=*/4);
+  obs::set_tracing(false);
+  const auto spans = obs::span_totals();
+  std::printf("batch runtime:");
+  for (const char* stage : {"pipeline.trip", "pipeline.align",
+                            "pipeline.detect", "pipeline.ekf",
+                            "pipeline.fuse"}) {
+    const auto it = spans.find(stage);
+    const obs::SpanTotal total =
+        it == spans.end() ? obs::SpanTotal{} : it->second;
+    std::printf(" %s %lldx %.1f ms", stage,
+                static_cast<long long>(total.count),
+                static_cast<double>(total.total_ns) * 1e-6);
+  }
+  std::printf("\n");
 
   std::vector<core::GradeTrack> uploads;
   for (int v = 0; v < kVehicles; ++v) {
@@ -99,7 +114,7 @@ int main() {
   // (serial or pool-parallel, both bit-identical) on the same grid.
   runtime::ThreadPool pool(4);
   const core::GradeTrack batch_map =
-      core::fuse_tracks_distance_batch(uploads, fc, pool, &metrics);
+      core::fuse_tracks_distance_batch(uploads, fc, pool);
   const bool identical = cloud.snapshot().grade == batch_map.grade &&
                          cloud.snapshot().grade_var == batch_map.grade_var;
   std::printf("\nstreamed map identical to batch re-fusion: %s\n",

@@ -12,30 +12,8 @@ namespace rge::baselines {
 namespace {
 
 double sample_scalar(const std::vector<sensors::ScalarSample>& xs, double t) {
-  if (xs.empty()) return 0.0;
-  if (t <= xs.front().t) return xs.front().value;
-  if (t >= xs.back().t) return xs.back().value;
-  const auto it = std::upper_bound(
-      xs.begin(), xs.end(), t,
-      [](double q, const sensors::ScalarSample& s) { return q < s.t; });
-  const std::size_t hi = static_cast<std::size_t>(it - xs.begin());
-  const std::size_t lo = hi - 1;
-  const double denom = xs[hi].t - xs[lo].t;
-  const double f = denom > 0.0 ? (t - xs[lo].t) / denom : 0.0;
-  return xs[lo].value * (1.0 - f) + xs[hi].value * f;
-}
-
-double sample_sorted(std::span<const double> ts, std::span<const double> vs,
-                     double t) {
-  if (ts.empty()) return 0.0;
-  if (t <= ts.front()) return vs.front();
-  if (t >= ts.back()) return vs.back();
-  const auto it = std::upper_bound(ts.begin(), ts.end(), t);
-  const std::size_t hi = static_cast<std::size_t>(it - ts.begin());
-  const std::size_t lo = hi - 1;
-  const double denom = ts[hi] - ts[lo];
-  const double f = denom > 0.0 ? (t - ts[lo]) / denom : 0.0;
-  return vs[lo] * (1.0 - f) + vs[hi] * f;
+  return math::sample_linear(xs, &sensors::ScalarSample::t,
+                             &sensors::ScalarSample::value, t);
 }
 
 /// Smoothed forward-accelerometer series (0.5 s moving average) on the IMU
@@ -157,7 +135,7 @@ core::GradeTrack AnnGradeEstimator::run(
   double prev_t = t0;
   for (double t = t0; t <= t1; t += dt) {
     const double v = sample_scalar(trace.speedometer, t);
-    const double a = sample_sorted(acc_t, acc_v, t);
+    const double a = math::sample_linear(acc_t, acc_v, t);
     const double alt = sample_scalar(trace.barometer_alt, t);
     const double g = predict(v, a, alt);
     odometry += v * (t - prev_t);
@@ -190,9 +168,9 @@ std::vector<AnnSample> make_training_samples(
   for (double t = t0; t <= t1; t += dt) {
     AnnSample s;
     s.velocity = sample_scalar(trace.speedometer, t);
-    s.accel = sample_sorted(acc_t, acc_v, t);
+    s.accel = math::sample_linear(acc_t, acc_v, t);
     s.altitude = sample_scalar(trace.barometer_alt, t);
-    s.grade = sample_sorted(t_truth, grade_truth, t);
+    s.grade = math::sample_linear(t_truth, grade_truth, t);
     out.push_back(s);
   }
   return out;

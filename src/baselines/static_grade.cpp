@@ -4,22 +4,15 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "math/interp.hpp"
+
 namespace rge::baselines {
 
 namespace {
 
 double scalar_at(const std::vector<sensors::ScalarSample>& xs, double t) {
-  if (xs.empty()) return 0.0;
-  if (t <= xs.front().t) return xs.front().value;
-  if (t >= xs.back().t) return xs.back().value;
-  const auto it = std::upper_bound(
-      xs.begin(), xs.end(), t,
-      [](double q, const sensors::ScalarSample& s) { return q < s.t; });
-  const std::size_t hi = static_cast<std::size_t>(it - xs.begin());
-  const std::size_t lo = hi - 1;
-  const double denom = xs[hi].t - xs[lo].t;
-  const double f = denom > 0.0 ? (t - xs[lo].t) / denom : 0.0;
-  return xs[lo].value * (1.0 - f) + xs[hi].value * f;
+  return math::sample_linear(xs, &sensors::ScalarSample::t,
+                             &sensors::ScalarSample::value, t);
 }
 
 }  // namespace

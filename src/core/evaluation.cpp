@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "math/angles.hpp"
+#include "math/interp.hpp"
 #include "math/stats.hpp"
 
 namespace rge::core {
@@ -23,24 +24,7 @@ std::vector<double> interp_states(const vehicle::Trip& trip,
   out.reserve(queries.size());
   const auto& st = trip.states;
   for (double q : queries) {
-    if (q <= key(st.front())) {
-      out.push_back(val(st.front()));
-      continue;
-    }
-    if (q >= key(st.back())) {
-      out.push_back(val(st.back()));
-      continue;
-    }
-    const auto it = std::upper_bound(
-        st.begin(), st.end(), q,
-        [&](double lhs, const vehicle::VehicleState& s) {
-          return lhs < key(s);
-        });
-    const std::size_t hi = static_cast<std::size_t>(it - st.begin());
-    const std::size_t lo = hi - 1;
-    const double denom = key(st[hi]) - key(st[lo]);
-    const double f = denom > 0.0 ? (q - key(st[lo])) / denom : 0.0;
-    out.push_back(val(st[lo]) * (1.0 - f) + val(st[hi]) * f);
+    out.push_back(math::sample_linear(st, key, val, q));
   }
   return out;
 }

@@ -41,17 +41,8 @@ GradeTrack rekey_track_by_road(const GradeTrack& track,
 
   // Odometry value at the edges of the matched window, for anchored
   // extrapolation beyond it.
-  auto odometry_at = [&](double t) {
-    if (t <= track.t.front()) return track.s.front();
-    if (t >= track.t.back()) return track.s.back();
-    const auto it = std::upper_bound(track.t.begin(), track.t.end(), t);
-    const std::size_t hi = static_cast<std::size_t>(it - track.t.begin());
-    const std::size_t lo = hi - 1;
-    const double f = (t - track.t[lo]) / (track.t[hi] - track.t[lo]);
-    return track.s[lo] * (1.0 - f) + track.s[hi] * f;
-  };
-  const double odo_front = odometry_at(mt.front());
-  const double odo_back = odometry_at(mt.back());
+  const double odo_front = math::sample_linear(track.t, track.s, mt.front());
+  const double odo_back = math::sample_linear(track.t, track.s, mt.back());
 
   GradeTrack out = track;
   // Track timestamps are non-decreasing, so one monotone cursor replaces

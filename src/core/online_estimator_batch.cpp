@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace rge::core {
@@ -129,8 +130,7 @@ struct LaneCursor {
 std::vector<OnlineFleetResult> run_online_batch(
     const std::vector<sensors::SensorTrace>& traces,
     const vehicle::VehicleParams& params, const OnlineEstimatorConfig& config,
-    std::size_t n_threads, std::size_t lanes_per_block,
-    runtime::StageMetrics* metrics) {
+    std::size_t n_threads, std::size_t lanes_per_block) {
   std::vector<OnlineFleetResult> results(traces.size());
   if (traces.empty()) return results;
   const std::size_t block =
@@ -142,8 +142,7 @@ std::vector<OnlineFleetResult> run_online_batch(
     const std::size_t lo = b * block;
     const std::size_t hi = std::min(traces.size(), lo + block);
     const std::size_t lanes = hi - lo;
-    runtime::ScopedTimer timer(metrics != nullptr ? &metrics->ekf_ns
-                                                  : nullptr);
+    OBS_SPAN("online_batch.block");
     OnlineEstimatorBatch batch(lanes, params, config);
     std::vector<LaneCursor> cur(lanes);
     std::vector<sensors::ImuSample> samples(lanes);
@@ -196,10 +195,6 @@ std::vector<OnlineFleetResult> run_online_batch(
     for (std::size_t l = 0; l < lanes; ++l) {
       results[lo + l].final_estimate = batch.estimate(l);
       results[lo + l].lane_changes = batch.lane_changes(l);
-    }
-    if (metrics != nullptr) {
-      metrics->trips.fetch_add(static_cast<std::int64_t>(lanes),
-                               std::memory_order_relaxed);
     }
   });
   return results;

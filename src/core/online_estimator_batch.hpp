@@ -39,7 +39,6 @@
 
 #include "core/grade_ekf_batch.hpp"
 #include "core/online_estimator.hpp"
-#include "runtime/metrics.hpp"
 #include "sensors/trace.hpp"
 #include "vehicle/params.hpp"
 
@@ -107,14 +106,12 @@ struct OnlineFleetResult {
 /// so traces of different lengths batch fine. Lanes are independent, so
 /// results are identical for any n_threads and any lanes_per_block
 /// grouping. n_threads == 0 picks hardware concurrency; lanes_per_block
-/// == 0 picks the default block size. Per-stage wall time is accumulated
-/// into *metrics when non-null (ekf_ns carries the lockstep streaming
-/// loop; trips counts vehicles).
+/// == 0 picks the default block size. Each block's lockstep sweep records
+/// an online_batch.block span.
 std::vector<OnlineFleetResult> run_online_batch(
     const std::vector<sensors::SensorTrace>& traces,
     const vehicle::VehicleParams& params,
     const OnlineEstimatorConfig& config = {}, std::size_t n_threads = 0,
-    std::size_t lanes_per_block = 0,
-    runtime::StageMetrics* metrics = nullptr);
+    std::size_t lanes_per_block = 0);
 
 }  // namespace rge::core

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "math/interp.hpp"
 #include "obs/obs.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -11,28 +12,13 @@ namespace rge::core {
 
 namespace {
 
-/// Piecewise-linear sample of (ts, vs) at time q, clamped.
-double sample_series(const std::vector<double>& ts,
-                     const std::vector<double>& vs, double q) {
-  if (ts.empty()) return 0.0;
-  if (q <= ts.front()) return vs.front();
-  if (q >= ts.back()) return vs.back();
-  const auto it = std::upper_bound(ts.begin(), ts.end(), q);
-  const std::size_t hi = static_cast<std::size_t>(it - ts.begin());
-  const std::size_t lo = hi - 1;
-  const double denom = ts[hi] - ts[lo];
-  const double f = denom > 0.0 ? (q - ts[lo]) / denom : 0.0;
-  return vs[lo] * (1.0 - f) + vs[hi] * f;
-}
-
 /// Full pipeline over one trace. When `pool` is non-null the per-source
 /// EKF/RTS runs fan out as nested pool tasks; each writes only its own
 /// track slot, so the output is bit-identical to the serial path.
 PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
                                       const vehicle::VehicleParams& params,
                                       const PipelineConfig& config,
-                                      runtime::ThreadPool* pool,
-                                      runtime::StageMetrics* metrics) {
+                                      runtime::ThreadPool* pool) {
   if (trace.imu.empty()) {
     throw std::invalid_argument("estimate_gradient: empty trace");
   }
@@ -76,7 +62,6 @@ PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
   // ---- 0/1. Mount auto-calibration + alignment -----------------------
   sensors::SensorTrace corrected;
   {
-    const runtime::ScopedTimer timer(metrics ? &metrics->align_ns : nullptr);
     OBS_SPAN("pipeline.align");
     if (config.auto_calibrate_mount) {
       result.mount = calibrate_mount(*active, config.mount);
@@ -93,7 +78,6 @@ PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
   // ---- 2/3. Steering profile smoothing + lane change detection --------
   std::vector<double> accel_for_ekf;
   {
-    const runtime::ScopedTimer timer(metrics ? &metrics->detect_ns : nullptr);
     OBS_SPAN("pipeline.detect");
     const double imu_rate =
         active->imu_rate_hz > 0 ? active->imu_rate_hz : 50.0;
@@ -144,7 +128,7 @@ PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
     result.det_speed.reserve(dn);
     for (std::size_t i = 0; i < dn; ++i) {
       result.det_speed.push_back(
-          sample_series(src_t, src_v, result.det_t[i]));
+          math::sample_linear(src_t, src_v, result.det_t[i]));
     }
 
     result.lane_changes =
@@ -165,11 +149,12 @@ PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
       std::vector<double> alpha_imu(aligned.size(), 0.0);
       std::vector<double> w_imu(aligned.size(), 0.0);
       std::vector<double> v_imu(aligned.size(), 0.0);
+      const std::vector<double>& det_t = result.det_t;
       for (std::size_t i = 0; i < aligned.size(); ++i) {
-        alpha_imu[i] = sample_series(result.det_t, alpha_det, aligned.t[i]);
-        w_imu[i] = sample_series(result.det_t, result.det_steer_smoothed,
-                                 aligned.t[i]);
-        v_imu[i] = sample_series(result.det_t, result.det_speed, aligned.t[i]);
+        const double t = aligned.t[i];
+        alpha_imu[i] = math::sample_linear(det_t, alpha_det, t);
+        w_imu[i] = math::sample_linear(det_t, result.det_steer_smoothed, t);
+        v_imu[i] = math::sample_linear(det_t, result.det_speed, t);
       }
       accel_for_ekf = adjust_specific_force(aligned.accel_forward, alpha_imu,
                                             w_imu, v_imu,
@@ -180,7 +165,6 @@ PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
 
   // ---- 5. Velocity sources -> per-source EKF tracks -----------------
   {
-    const runtime::ScopedTimer timer(metrics ? &metrics->ekf_ns : nullptr);
     OBS_SPAN("pipeline.ekf");
     struct SourceJob {
       const char* name;
@@ -235,7 +219,6 @@ PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
 
   // ---- 6. Track fusion ------------------------------------------------
   {
-    const runtime::ScopedTimer timer(metrics ? &metrics->fuse_ns : nullptr);
     OBS_SPAN("pipeline.fuse");
     if (config.enable_fusion && result.tracks.size() > 1) {
       result.fused = fuse_tracks_time(result.tracks, 0, config.fusion);
@@ -262,9 +245,6 @@ PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
     }
   }
 
-  if (metrics != nullptr) {
-    metrics->trips.fetch_add(1, std::memory_order_relaxed);
-  }
   return result;
 }
 
@@ -273,20 +253,20 @@ PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
 PipelineResult estimate_gradient(const sensors::SensorTrace& trace,
                                  const vehicle::VehicleParams& params,
                                  const PipelineConfig& config) {
-  return estimate_gradient_impl(trace, params, config, nullptr, nullptr);
+  return estimate_gradient_impl(trace, params, config, nullptr);
 }
 
 std::vector<PipelineResult> run_pipeline_batch(
     const std::vector<sensors::SensorTrace>& traces,
     const vehicle::VehicleParams& params, const PipelineConfig& config,
-    std::size_t n_threads, runtime::StageMetrics* metrics) {
+    std::size_t n_threads) {
   std::vector<PipelineResult> results(traces.size());
   if (traces.empty()) return results;
 
   runtime::ThreadPool pool(n_threads);
   runtime::parallel_for(pool, traces.size(), [&](std::size_t i) {
     results[i] =
-        estimate_gradient_impl(traces[i], params, config, &pool, metrics);
+        estimate_gradient_impl(traces[i], params, config, &pool);
     // Fail loudly at the producer if a fused track ever violates the
     // GradeTrack invariants (sizes, finiteness, monotone keys).
     results[i].fused.validate();

@@ -17,7 +17,6 @@
 #include "core/track_fusion.hpp"
 #include "core/velocity_sources.hpp"
 #include "math/loess.hpp"
-#include "runtime/metrics.hpp"
 #include "sensors/trace.hpp"
 #include "vehicle/params.hpp"
 
@@ -111,12 +110,13 @@ PipelineResult estimate_gradient(const sensors::SensorTrace& trace,
 /// scheduling. Per-trip randomness (if any) lives in the traces, which are
 /// produced before the batch call, so seeds are untouched.
 ///
-/// Per-stage wall time (align/detect/ekf/fuse) is accumulated into
-/// *metrics when non-null; see runtime/metrics.hpp for the report format.
+/// Each trip records a pipeline.trip span with pipeline.align/detect/
+/// ekf/fuse children and bumps the pipeline.trips counter; read per-stage
+/// totals with obs::span_totals() while tracing is on.
 /// @throws whatever estimate_gradient throws for the first failing trace.
 std::vector<PipelineResult> run_pipeline_batch(
     const std::vector<sensors::SensorTrace>& traces,
     const vehicle::VehicleParams& params, const PipelineConfig& config = {},
-    std::size_t n_threads = 0, runtime::StageMetrics* metrics = nullptr);
+    std::size_t n_threads = 0);
 
 }  // namespace rge::core

@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "math/interp.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace rge::core {
@@ -315,10 +314,8 @@ void FusionAccumulator::add_tracks(const std::vector<GradeTrack>& tracks) {
 }
 
 void FusionAccumulator::add_tracks_parallel(
-    const std::vector<GradeTrack>& tracks, runtime::ThreadPool& pool,
-    runtime::StageMetrics* metrics) {
-  const runtime::ScopedTimer timer(metrics ? &metrics->accumulate_ns
-                                           : nullptr);
+    const std::vector<GradeTrack>& tracks, runtime::ThreadPool& pool) {
+  OBS_SPAN("fusion.add_tracks_parallel");
   // Fixed chunk size, NOT derived from the pool size: the partials and
   // their merge order are then identical for every thread count, so the
   // result is bit-reproducible across machines with different pools.
@@ -571,9 +568,7 @@ GradeTrack fuse_tracks_distance(const std::vector<GradeTrack>& tracks,
 
 GradeTrack fuse_tracks_distance_batch(const std::vector<GradeTrack>& tracks,
                                       const FusionConfig& cfg,
-                                      runtime::ThreadPool& pool,
-                                      runtime::StageMetrics* metrics) {
-  const runtime::ScopedTimer timer(metrics ? &metrics->fuse_ns : nullptr);
+                                      runtime::ThreadPool& pool) {
   OBS_SPAN("fusion.distance_batch");
   const FusionGrid grid = make_overlap_grid(tracks, cfg);
   GradeTrack fused = make_fused_shell(grid.n);

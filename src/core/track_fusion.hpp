@@ -27,7 +27,6 @@
 
 namespace rge::runtime {
 class ThreadPool;
-struct StageMetrics;
 }  // namespace rge::runtime
 
 namespace rge::core {
@@ -140,11 +139,10 @@ class FusionAccumulator {
   /// accumulator, and partials merge in chunk order. The chunking does not
   /// depend on the pool size, so the result is bit-identical across
   /// 1/2/N-thread pools (and near-identical to the serial add_tracks —
-  /// same sums, different float grouping). Elapsed wall time is added to
-  /// metrics->accumulate_ns when metrics is non-null.
+  /// same sums, different float grouping). Records a
+  /// fusion.add_tracks_parallel span.
   void add_tracks_parallel(const std::vector<GradeTrack>& tracks,
-                           runtime::ThreadPool& pool,
-                           runtime::StageMetrics* metrics = nullptr);
+                           runtime::ThreadPool& pool);
 
   /// Cell-wise sum of another accumulator over the same grid and config.
   /// @throws std::invalid_argument on grid or config mismatch, naming the
@@ -243,12 +241,11 @@ GradeTrack fuse_tracks_distance(const std::vector<GradeTrack>& tracks,
 /// Cloud-fusion entry point of the batch runtime: same grid and arithmetic
 /// as fuse_tracks_distance but grid cells are filled in parallel on the
 /// pool in contiguous chunks (each cell's sums still accumulate in track
-/// order, so the output is bit-identical to the serial function). Elapsed
-/// wall time is added to metrics->fuse_ns when metrics is non-null.
+/// order, so the output is bit-identical to the serial function). Records
+/// a fusion.distance_batch span.
 GradeTrack fuse_tracks_distance_batch(const std::vector<GradeTrack>& tracks,
                                       const FusionConfig& cfg,
-                                      runtime::ThreadPool& pool,
-                                      runtime::StageMetrics* metrics = nullptr);
+                                      runtime::ThreadPool& pool);
 
 /// Reference implementations: the pre-cursor code paths doing one binary
 /// search per (sample, track) pair. Kept verbatim so tests can assert the

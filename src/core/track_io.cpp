@@ -1,6 +1,5 @@
 #include "core/track_io.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -9,37 +8,13 @@
 #include <string_view>
 #include <vector>
 
+#include "sensors/trace.hpp"
+
 namespace rge::core {
 
 namespace {
 
 constexpr std::string_view kMagic = "# rge-grade-track v1 source=";
-
-double parse_double(std::string_view sv, std::size_t line_no) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(sv.data(), sv.data() + sv.size(), value);
-  if (ec != std::errc{} || ptr != sv.data() + sv.size()) {
-    throw std::runtime_error("track CSV: bad number '" + std::string(sv) +
-                             "' at line " + std::to_string(line_no));
-  }
-  return value;
-}
-
-std::vector<std::string_view> split(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    if (comma == std::string_view::npos) {
-      out.push_back(line.substr(start));
-      break;
-    }
-    out.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -79,16 +54,19 @@ GradeTrack read_track_csv(std::istream& in) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    const auto fields = split(line);
+    const auto fields = sensors::split_csv(line);
     if (fields.size() != 5) {
       throw std::runtime_error("track CSV: wrong field count at line " +
                                std::to_string(line_no));
     }
-    track.t.push_back(parse_double(fields[0], line_no));
-    track.s.push_back(parse_double(fields[1], line_no));
-    track.grade.push_back(parse_double(fields[2], line_no));
-    track.grade_var.push_back(parse_double(fields[3], line_no));
-    track.speed.push_back(parse_double(fields[4], line_no));
+    const auto num = [&](std::size_t k) {
+      return sensors::parse_csv_double(fields[k], line_no, "track");
+    };
+    track.t.push_back(num(0));
+    track.s.push_back(num(1));
+    track.grade.push_back(num(2));
+    track.grade_var.push_back(num(3));
+    track.speed.push_back(num(4));
   }
   return track;
 }

@@ -25,13 +25,7 @@ LinearInterpolator::LinearInterpolator(std::vector<double> xs,
 }
 
 double LinearInterpolator::operator()(double x) const {
-  if (x <= xs_.front()) return ys_.front();
-  if (x >= xs_.back()) return ys_.back();
-  const auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
-  const std::size_t hi = static_cast<std::size_t>(it - xs_.begin());
-  const std::size_t lo = hi - 1;
-  const double t = (x - xs_[lo]) / (xs_[hi] - xs_[lo]);
-  return ys_[lo] * (1.0 - t) + ys_[hi] * t;
+  return sample_linear(xs_, ys_, x);
 }
 
 std::vector<double> LinearInterpolator::sample(std::size_t n) const {

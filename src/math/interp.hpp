@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -43,25 +45,64 @@ struct InterpPos {
   double f = 0.0;
 };
 
-/// Locate q in a sorted (non-decreasing) key array by binary search;
-/// clamped at the ends. Keys must be non-empty.
-inline InterpPos locate(std::span<const double> keys, double q) {
-  if (q <= keys.front()) return {0, 0, 0.0};
-  if (q >= keys.back()) return {keys.size() - 1, keys.size() - 1, 0.0};
+/// Locate q in a sorted (non-decreasing) array of records by a key
+/// projection (e.g. &ScalarSample::t) by binary search; clamped at the
+/// ends. Items must be non-empty.
+template <typename Items, typename Key>
+InterpPos locate(const Items& items, Key key, double q) {
+  const std::size_t n = std::size(items);
+  const auto at = [&](std::size_t i) -> double {
+    return std::invoke(key, items[i]);
+  };
+  if (q <= at(0)) return {0, 0, 0.0};
+  if (q >= at(n - 1)) return {n - 1, n - 1, 0.0};
   std::size_t lo = 0;
-  std::size_t hi = keys.size() - 1;
-  // Invariant: keys[lo] <= q < keys[hi]; converge to hi == lo + 1 with
-  // keys[hi] > q (std::upper_bound semantics).
+  std::size_t hi = n - 1;
+  // Invariant: key[lo] <= q < key[hi]; converge to hi == lo + 1 with
+  // key[hi] > q (std::upper_bound semantics).
   while (hi - lo > 1) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (keys[mid] <= q) {
+    if (at(mid) <= q) {
       lo = mid;
     } else {
       hi = mid;
     }
   }
-  const double denom = keys[hi] - keys[lo];
-  return {lo, hi, denom > 0.0 ? (q - keys[lo]) / denom : 0.0};
+  const double denom = at(hi) - at(lo);
+  return {lo, hi, denom > 0.0 ? (q - at(lo)) / denom : 0.0};
+}
+
+/// Locate q in a sorted (non-decreasing) key array; see above. Keys must
+/// be non-empty.
+inline InterpPos locate(std::span<const double> keys, double q) {
+  return locate(keys, std::identity{}, q);
+}
+
+/// Value at a located position, `value(i)` giving the i-th sample: the
+/// endpoint value itself when clamped (lo == hi), else
+/// value(lo)*(1-f) + value(hi)*f.
+template <typename ValueAt>
+double lerp_at(const InterpPos& pos, ValueAt value) {
+  if (pos.lo == pos.hi) return value(pos.lo);
+  return value(pos.lo) * (1.0 - pos.f) + value(pos.hi) * pos.f;
+}
+
+/// Clamped piecewise-linear sample of (keys, ys) at q; 0.0 when empty.
+inline double sample_linear(std::span<const double> keys,
+                            std::span<const double> ys, double q) {
+  if (keys.empty()) return 0.0;
+  return lerp_at(locate(keys, q), [&](std::size_t i) { return ys[i]; });
+}
+
+/// Clamped piecewise-linear sample over sorted records, keyed and valued
+/// by projections (e.g. &ScalarSample::t, &ScalarSample::value); 0.0 when
+/// empty.
+template <typename Items, typename Key, typename Val>
+double sample_linear(const Items& items, Key key, Val val, double q) {
+  if (std::size(items) == 0) return 0.0;
+  return lerp_at(locate(items, key, q), [&](std::size_t i) -> double {
+    return std::invoke(val, items[i]);
+  });
 }
 
 /// Monotone interpolation cursor: for query sequences that are

@@ -29,6 +29,7 @@
 #include "obs/trace.hpp"
 #else
 #include <cstdint>
+#include <map>
 #include <string>
 #endif
 
@@ -54,6 +55,11 @@ inline bool write_metrics_json(const std::string&) { return false; }
 inline std::string chrome_trace_json() { return "{\"traceEvents\":[]}"; }
 inline bool write_chrome_trace(const std::string&) { return false; }
 inline void clear_trace() {}
+struct SpanTotal {
+  std::int64_t count = 0;
+  std::int64_t total_ns = 0;
+};
+inline std::map<std::string, SpanTotal> span_totals() { return {}; }
 inline void reset_all() {}
 
 #endif

@@ -74,6 +74,24 @@ class Collector {
     }
   }
 
+  std::map<std::string, SpanTotal> totals() {
+    std::map<std::string, SpanTotal> out;
+    const auto add = [&](const std::vector<Event>& events) {
+      for (const Event& e : events) {
+        SpanTotal& t = out[e.name];
+        ++t.count;
+        t.total_ns += e.t1_ns - e.t0_ns;
+      }
+    };
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Retired& r : retired_) add(r.events);
+    for (BufferState* b : live_) {
+      std::lock_guard<std::mutex> bl(b->mu);
+      add(b->events);
+    }
+    return out;
+  }
+
   std::string to_json() {
     struct Row {
       std::uint32_t tid;
@@ -181,6 +199,10 @@ bool write_chrome_trace(const std::string& path) {
 }
 
 void clear_trace() { Collector::global().clear(); }
+
+std::map<std::string, SpanTotal> span_totals() {
+  return Collector::global().totals();
+}
 
 void reset_all() {
   Registry::global().reset();

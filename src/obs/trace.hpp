@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <string>
 
 namespace rge::obs {
@@ -47,6 +48,19 @@ bool write_chrome_trace(const std::string& path);
 
 /// Drops all recorded spans and thread names.
 void clear_trace();
+
+/// Per-name aggregate of the recorded spans.
+struct SpanTotal {
+  std::int64_t count = 0;     ///< spans recorded under the name
+  std::int64_t total_ns = 0;  ///< sum of their durations
+};
+
+/// name -> {count, total ns} over every span recorded since the last
+/// clear_trace(), on all threads (live and exited). Nested spans each
+/// count in full, so a parent's total includes its children's time.
+/// Spans that overlap on several threads each add their full duration, so
+/// a total can exceed the wall time that covered it.
+std::map<std::string, SpanTotal> span_totals();
 
 /// RAII span. Records only if tracing was enabled at construction.
 class Span {

@@ -139,6 +139,15 @@ void write_scalar_stream(std::ostream& out, std::string_view name,
   }
 }
 
+[[noreturn]] void bad_field_count(std::string_view stream,
+                                  std::size_t line_no) {
+  throw std::runtime_error("trace CSV: wrong field count for stream '" +
+                           std::string(stream) + "' at line " +
+                           std::to_string(line_no));
+}
+
+}  // namespace
+
 std::vector<std::string_view> split_csv(std::string_view line) {
   std::vector<std::string_view> out;
   std::size_t start = 0;
@@ -154,25 +163,18 @@ std::vector<std::string_view> split_csv(std::string_view line) {
   return out;
 }
 
-double parse_double(std::string_view sv, std::size_t line_no) {
+double parse_csv_double(std::string_view field, std::size_t line_no,
+                        std::string_view format) {
   double value = 0.0;
   const auto [ptr, ec] =
-      std::from_chars(sv.data(), sv.data() + sv.size(), value);
-  if (ec != std::errc{} || ptr != sv.data() + sv.size()) {
-    throw std::runtime_error("trace CSV: bad number '" + std::string(sv) +
-                             "' at line " + std::to_string(line_no));
+      std::from_chars(field.data(), field.data() + field.size(), value);
+  if (ec != std::errc{} || ptr != field.data() + field.size()) {
+    throw std::runtime_error(std::string(format) + " CSV: bad number '" +
+                             std::string(field) + "' at line " +
+                             std::to_string(line_no));
   }
   return value;
 }
-
-[[noreturn]] void bad_field_count(std::string_view stream,
-                                  std::size_t line_no) {
-  throw std::runtime_error("trace CSV: wrong field count for stream '" +
-                           std::string(stream) + "' at line " +
-                           std::to_string(line_no));
-}
-
-}  // namespace
 
 void write_csv(const SensorTrace& trace, std::ostream& out) {
   out << std::setprecision(17);
@@ -210,40 +212,43 @@ SensorTrace read_csv(std::istream& in) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
     const auto fields = split_csv(line);
+    const auto num = [&](std::size_t k) {
+      return parse_csv_double(fields[k], line_no, "trace");
+    };
     const std::string_view stream = fields[0];
     if (stream == "meta") {
       if (fields.size() != 3 || fields[1] != "imu_rate_hz") {
         throw std::runtime_error("trace CSV: bad meta line " +
                                  std::to_string(line_no));
       }
-      trace.imu_rate_hz = parse_double(fields[2], line_no);
+      trace.imu_rate_hz = num(2);
     } else if (stream == "imu") {
       if (fields.size() != 6) bad_field_count(stream, line_no);
       ImuSample s;
-      s.t = parse_double(fields[1], line_no);
-      s.accel_forward = parse_double(fields[2], line_no);
-      s.accel_lateral = parse_double(fields[3], line_no);
-      s.accel_vertical = parse_double(fields[4], line_no);
-      s.gyro_z = parse_double(fields[5], line_no);
+      s.t = num(1);
+      s.accel_forward = num(2);
+      s.accel_lateral = num(3);
+      s.accel_vertical = num(4);
+      s.gyro_z = num(5);
       trace.imu.push_back(s);
     } else if (stream == "gps") {
       if (fields.size() != 8) bad_field_count(stream, line_no);
       GpsFix f;
-      f.t = parse_double(fields[1], line_no);
-      f.position.latitude_deg = parse_double(fields[2], line_no);
-      f.position.longitude_deg = parse_double(fields[3], line_no);
-      f.position.altitude_m = parse_double(fields[4], line_no);
-      f.speed_mps = parse_double(fields[5], line_no);
-      f.heading_rad = parse_double(fields[6], line_no);
-      f.valid = parse_double(fields[7], line_no) != 0.0;
+      f.t = num(1);
+      f.position.latitude_deg = num(2);
+      f.position.longitude_deg = num(3);
+      f.position.altitude_m = num(4);
+      f.speed_mps = num(5);
+      f.heading_rad = num(6);
+      f.valid = num(7) != 0.0;
       trace.gps.push_back(f);
     } else if (stream == "speedometer" || stream == "canbus" ||
                stream == "barometer" || stream == "engine_torque" ||
                stream == "gear") {
       if (fields.size() != 3) bad_field_count(stream, line_no);
       ScalarSample s;
-      s.t = parse_double(fields[1], line_no);
-      s.value = parse_double(fields[2], line_no);
+      s.t = num(1);
+      s.value = num(2);
       if (stream == "speedometer") {
         trace.speedometer.push_back(s);
       } else if (stream == "canbus") {

@@ -6,8 +6,10 @@
 // truth never crosses this boundary.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "math/geodesy.hpp"
@@ -101,5 +103,14 @@ void write_csv_file(const SensorTrace& trace, const std::string& path);
 /// raise std::runtime_error with the line number.
 SensorTrace read_csv(std::istream& in);
 SensorTrace read_csv_file(const std::string& path);
+
+/// Field helpers shared by the line-oriented CSV formats (this trace
+/// format and core's grade-track format).
+/// Comma-split one line into views of it; no quoting, empty fields kept.
+std::vector<std::string_view> split_csv(std::string_view line);
+/// Parse a whole field as a double. @throws std::runtime_error
+/// "<format> CSV: bad number '<field>' at line <line_no>".
+double parse_csv_double(std::string_view field, std::size_t line_no,
+                        std::string_view format);
 
 }  // namespace rge::sensors

@@ -233,16 +233,41 @@ void MapService::split_upload(
 
 namespace {
 
-/// Upload samples falling inside the cell range [at(cb), at(ce-1)] —
-/// the per-shard share of the upload's fixes (stats only).
-std::uint64_t samples_in_range(const core::GradeTrack& track, double lo_m,
-                               double hi_m) {
-  const auto lo = std::lower_bound(track.s.begin(), track.s.end(), lo_m);
-  const auto hi = std::upper_bound(track.s.begin(), track.s.end(), hi_m);
-  return lo < hi ? static_cast<std::uint64_t>(hi - lo) : 0u;
+/// Upload samples inside the tile of cells [cb, ce): the half-open span
+/// [at(cb), at(ce)), with the road's first tile reaching down to -inf and
+/// its last up to +inf. A road's tiles thus partition the real line, so
+/// every sample of an upload that touches the grid is counted exactly
+/// once (stats only).
+std::uint64_t samples_in_tile(const core::GradeTrack& track,
+                              const core::FusionGrid& grid, std::size_t cb,
+                              std::size_t ce) {
+  const auto first =
+      cb == 0 ? track.s.begin()
+              : std::lower_bound(track.s.begin(), track.s.end(), grid.at(cb));
+  const auto last =
+      ce >= grid.n
+          ? track.s.end()
+          : std::lower_bound(track.s.begin(), track.s.end(), grid.at(ce));
+  return first < last ? static_cast<std::uint64_t>(last - first) : 0u;
 }
 
 }  // namespace
+
+void MapService::apply_to_shard(std::size_t s,
+                                const std::vector<SubTrack>& items) {
+  if (items.empty()) return;
+  Shard& shard = *shards_[s];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  std::uint64_t samples = 0;
+  for (const SubTrack& st : items) {
+    shard.acc[st.road]->add_track_cells(*st.track, st.cell_begin,
+                                        st.cell_end);
+    samples += samples_in_tile(*st.track, grids_[st.road], st.cell_begin,
+                               st.cell_end);
+  }
+  shard.count_ingest(items.size(), samples);
+  samples_total_.fetch_add(samples, std::memory_order_relaxed);
+}
 
 void MapService::ingest(const std::vector<TrackUpload>& uploads,
                         runtime::ThreadPool* pool) {
@@ -256,22 +281,7 @@ void MapService::ingest(const std::vector<TrackUpload>& uploads,
   // order (split_upload pushed them that way), so per-cell accumulation
   // order equals upload order for ANY pool size and ANY shard count —
   // the bit-reproducibility contract.
-  const auto apply = [&](std::size_t s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::uint64_t tracks = 0;
-    std::uint64_t samples = 0;
-    for (const SubTrack& st : per_shard[s]) {
-      shard.acc[st.road]->add_track_cells(*st.track, st.cell_begin,
-                                          st.cell_end);
-      ++tracks;
-      const core::FusionGrid& grid = grids_[st.road];
-      samples += samples_in_range(*st.track, grid.at(st.cell_begin),
-                                  grid.at(st.cell_end - 1));
-    }
-    shard.count_ingest(tracks, samples);
-    samples_total_.fetch_add(samples, std::memory_order_relaxed);
-  };
+  const auto apply = [&](std::size_t s) { apply_to_shard(s, per_shard[s]); };
   if (pool != nullptr) {
     runtime::parallel_for(*pool, shards_.size(), apply);
   } else {
@@ -288,19 +298,7 @@ void MapService::ingest_one(const TrackUpload& upload) {
   // Ascending shard order (the natural iteration) keeps multi-shard lock
   // acquisition deadlock-free against concurrent callers.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (per_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::uint64_t samples = 0;
-    for (const SubTrack& st : per_shard[s]) {
-      shard.acc[st.road]->add_track_cells(*st.track, st.cell_begin,
-                                          st.cell_end);
-      const core::FusionGrid& grid = grids_[st.road];
-      samples += samples_in_range(*st.track, grid.at(st.cell_begin),
-                                  grid.at(st.cell_end - 1));
-    }
-    shard.count_ingest(per_shard[s].size(), samples);
-    samples_total_.fetch_add(samples, std::memory_order_relaxed);
+    apply_to_shard(s, per_shard[s]);
   }
   OBS_COUNT("service.uploads", 1);
 }

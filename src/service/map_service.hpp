@@ -108,7 +108,7 @@ struct ShardStats {
   std::size_t n_tiles = 0;
   std::size_t n_roads = 0;             ///< roads with at least one tile here
   std::uint64_t tracks_ingested = 0;   ///< tile-split sub-track applications
-  std::uint64_t samples_ingested = 0;  ///< upload samples routed here
+  std::uint64_t samples_ingested = 0;  ///< upload samples booked to its tiles
   std::uint64_t covered_cells = 0;     ///< cells with coverage >= 1
 };
 
@@ -180,8 +180,11 @@ class MapService {
   /// Per-shard counters restart at zero on rebalance() (tiles move to
   /// different shards, so the old attribution is meaningless).
   std::vector<ShardStats> shard_stats() const;
-  /// Durable service-level ingest total: unlike the per-shard stats this
-  /// survives rebalance(), so conservation checks (samples in == samples
+  /// Durable service-level ingest total: every sample of every upload
+  /// that touches its road's grid, counted exactly once (each sample is
+  /// booked to the one tile whose half-open key span holds it; the end
+  /// tiles extend to -inf/+inf). Unlike the per-shard stats this survives
+  /// rebalance(), so conservation checks (samples in == samples
   /// accounted) hold across any re-sharding schedule.
   std::uint64_t total_samples_ingested() const {
     return samples_total_.load(std::memory_order_relaxed);
@@ -193,6 +196,9 @@ class MapService {
 
   void split_upload(const TrackUpload& upload, std::size_t upload_index,
                     std::vector<std::vector<SubTrack>>& per_shard) const;
+  /// Add one shard's items, in order, under its lock and book the tracks
+  /// and samples they carry (no-op for an empty list).
+  void apply_to_shard(std::size_t s, const std::vector<SubTrack>& items);
   void check_road(RoadId id) const;
   void build_shards(std::size_t n_shards);
 

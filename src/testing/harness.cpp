@@ -4,11 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <optional>
 #include <ostream>
+#include <string>
 
 #include "core/online_estimator.hpp"
 #include "obs/obs.hpp"
-#include "runtime/metrics.hpp"
 #include "testing/json.hpp"
 #include "testing/scenario.hpp"
 
@@ -22,7 +24,17 @@ bool tracks_bit_identical(const core::GradeTrack& a,
          a.speed == b.speed && a.s == b.s;
 }
 
-double ns_to_ms(std::int64_t ns) { return static_cast<double>(ns) * 1e-6; }
+/// Milliseconds spent in spans named `name` between two span_totals()
+/// reads.
+double span_ms_between(const std::map<std::string, obs::SpanTotal>& before,
+                       const std::map<std::string, obs::SpanTotal>& after,
+                       const std::string& name) {
+  const auto total_ns = [&](const std::map<std::string, obs::SpanTotal>& m) {
+    const auto it = m.find(name);
+    return it == m.end() ? std::int64_t{0} : it->second.total_ns;
+  };
+  return static_cast<double>(total_ns(after) - total_ns(before)) * 1e-6;
+}
 
 class Reporter {
  public:
@@ -137,8 +149,10 @@ int run_harness(const HarnessOptions& opts, std::ostream& log) {
   Reporter report(log);
   Json::Array bench_rows;
 
-  // Observability: counters whenever we are writing a report, spans only
-  // when a trace export was requested (span collection is the costly bit).
+  // Observability: counters whenever we are writing a report. Spans are
+  // collected for every clean run (the per-stage breakdown is read from
+  // them) and for the whole run only when a trace export was requested
+  // (span collection is the costly bit).
   const bool collect_metrics =
       obs::kCompiledIn && (!opts.bench_out.empty() || !opts.trace_out.empty());
   const bool collect_trace = obs::kCompiledIn && !opts.trace_out.empty();
@@ -169,20 +183,27 @@ int run_harness(const HarnessOptions& opts, std::ostream& log) {
     OBS_SPAN_DYN("scenario." + spec.name);
     const ScenarioWorld world = build_world(spec);
 
-    // ---- clean run (timed, stage-broken-down) -------------------------
-    runtime::StageMetrics stages;
+    // ---- clean run (timed; stage breakdown from its obs spans) --------
+    if (collect_metrics) obs::set_tracing(true);
+    const auto spans_before = obs::span_totals();
     const auto t0 = std::chrono::steady_clock::now();
     ScenarioRun base;
+    std::optional<std::string> clean_error;
     try {
-      base = run_scenario(spec, world, clean, 1, &stages);
+      base = run_scenario(spec, world, clean, 1);
     } catch (const std::exception& e) {
-      report.fail(spec.name, std::string("clean run threw: ") + e.what());
-      continue;
+      clean_error = e.what();
     }
     const double wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
+    const auto spans_after = obs::span_totals();
+    if (collect_metrics) obs::set_tracing(collect_trace);
+    if (clean_error) {
+      report.fail(spec.name, "clean run threw: " + *clean_error);
+      continue;
+    }
     if (base.rejected) {
       report.fail(spec.name, "clean run rejected: " + base.reject_reason);
       continue;
@@ -197,11 +218,16 @@ int run_harness(const HarnessOptions& opts, std::ostream& log) {
       row["imu_samples"] =
           Json(static_cast<double>(world.traces.front().imu.size() *
                                    world.traces.size()));
+      const auto stage_ms = [&](const char* name) {
+        return span_ms_between(spans_before, spans_after, name);
+      };
       Json stages_json;
-      stages_json["align_ms"] = Json(ns_to_ms(stages.align_ns.load()));
-      stages_json["detect_ms"] = Json(ns_to_ms(stages.detect_ns.load()));
-      stages_json["ekf_ms"] = Json(ns_to_ms(stages.ekf_ns.load()));
-      stages_json["fuse_ms"] = Json(ns_to_ms(stages.fuse_ns.load()));
+      stages_json["align_ms"] = Json(stage_ms("pipeline.align"));
+      stages_json["detect_ms"] = Json(stage_ms("pipeline.detect"));
+      stages_json["ekf_ms"] = Json(stage_ms("pipeline.ekf"));
+      // Per-trip fusion plus the cross-trip cloud fusion.
+      stages_json["fuse_ms"] = Json(stage_ms("pipeline.fuse") +
+                                    stage_ms("fusion.distance_batch"));
       row["stages"] = stages_json;
       row["metrics"] = base.metrics.to_json();
       bench_rows.push_back(std::move(row));

@@ -8,7 +8,8 @@
 // across 1/2/8 runtime threads, (3) replays every standard fault mode and
 // asserts graceful degradation or clean rejection (never a crash, never a
 // non-finite grade), and (4) records per-scenario wall time plus the
-// StageMetrics stage breakdown into BENCH_scenarios.json.
+// align/detect/ekf/fuse stage breakdown into BENCH_scenarios.json, read
+// from the obs span totals (obs::span_totals()) of the clean run.
 #pragma once
 
 #include <cstddef>

@@ -14,33 +14,10 @@ namespace rge::testing {
 namespace {
 
 /// Clamped linear sample of (xs, ys) at q; xs sorted non-decreasing.
-double sample_series(const std::vector<double>& xs,
-                     const std::vector<double>& ys, double q) {
-  if (xs.empty()) return 0.0;
-  if (q <= xs.front()) return ys.front();
-  if (q >= xs.back()) return ys.back();
-  const auto it = std::upper_bound(xs.begin(), xs.end(), q);
-  const auto hi = static_cast<std::size_t>(it - xs.begin());
-  const auto lo = hi - 1;
-  const double denom = xs[hi] - xs[lo];
-  const double f = denom > 0.0 ? (q - xs[lo]) / denom : 0.0;
-  return ys[lo] * (1.0 - f) + ys[hi] * f;
-}
-
 /// Trip ground-truth arc length at time t (piecewise linear over states).
 double truth_s_at_time(const vehicle::Trip& trip, double t) {
-  const auto& st = trip.states;
-  if (st.empty()) return 0.0;
-  if (t <= st.front().t) return st.front().s;
-  if (t >= st.back().t) return st.back().s;
-  const auto it = std::upper_bound(
-      st.begin(), st.end(), t,
-      [](double q, const vehicle::VehicleState& x) { return q < x.t; });
-  const auto hi = static_cast<std::size_t>(it - st.begin());
-  const auto lo = hi - 1;
-  const double denom = st[hi].t - st[lo].t;
-  const double f = denom > 0.0 ? (t - st[lo].t) / denom : 0.0;
-  return st[lo].s * (1.0 - f) + st[hi].s * f;
+  return math::sample_linear(trip.states, &vehicle::VehicleState::t,
+                             &vehicle::VehicleState::s, t);
 }
 
 }  // namespace
@@ -143,8 +120,8 @@ double vsp_fuel_error_rel(const core::GradeTrack& fused,
       if (st.s < fused.s.front() || st.s > fused.s.back()) continue;
     }
     const double est_grade =
-        time_domain ? sample_series(fused.t, fused.grade, st.t)
-                    : sample_series(fused.s, fused.grade, st.s);
+        time_domain ? math::sample_linear(fused.t, fused.grade, st.t)
+                    : math::sample_linear(fused.s, fused.grade, st.s);
     fuel_truth += emissions::fuel_used_gal(st.speed, st.accel, st.grade,
                                            trip.dt, vsp);
     fuel_est += emissions::fuel_used_gal(st.speed, st.accel, est_grade,

@@ -5,7 +5,6 @@
 
 #include "core/track_fusion.hpp"
 #include "road/network.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "testing/terrain.hpp"
 
@@ -272,8 +271,7 @@ ScenarioWorld build_world(const ScenarioSpec& spec) {
 }
 
 ScenarioRun run_scenario(const ScenarioSpec& spec, const ScenarioWorld& world,
-                         const FaultSpec& fault, std::size_t n_threads,
-                         runtime::StageMetrics* stage_metrics) {
+                         const FaultSpec& fault, std::size_t n_threads) {
   ScenarioRun run;
 
   std::vector<sensors::SensorTrace> traces = world.traces;
@@ -283,7 +281,7 @@ ScenarioRun run_scenario(const ScenarioSpec& spec, const ScenarioWorld& world,
   std::vector<core::PipelineResult> results;
   try {
     results = core::run_pipeline_batch(traces, params, spec.pipeline,
-                                       n_threads, stage_metrics);
+                                       n_threads);
   } catch (const std::invalid_argument& e) {
     run.rejected = true;
     run.reject_reason = e.what();
@@ -298,7 +296,7 @@ ScenarioRun run_scenario(const ScenarioSpec& spec, const ScenarioWorld& world,
     for (auto& r : results) fused_per_trip.push_back(std::move(r.fused));
     runtime::ThreadPool pool(n_threads);
     run.fused = core::fuse_tracks_distance_batch(
-        fused_per_trip, spec.pipeline.fusion, pool, stage_metrics);
+        fused_per_trip, spec.pipeline.fusion, pool);
   } else {
     run.fused = std::move(results.front().fused);
   }

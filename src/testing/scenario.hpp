@@ -18,10 +18,6 @@
 #include "testing/metrics.hpp"
 #include "vehicle/trip.hpp"
 
-namespace rge::runtime {
-struct StageMetrics;
-}  // namespace rge::runtime
-
 namespace rge::testing {
 
 enum class RoutePreset {
@@ -85,13 +81,11 @@ struct ScenarioRun {
 
 /// Run the pipeline over `world` with `fault` applied to a copy of every
 /// trace. n_threads drives the batch runtime (1 = serial-equivalent).
-/// Stage wall time is accumulated into *stage_metrics when non-null.
 /// @throws only for harness-internal errors; pipeline rejections are
 /// reported via ScenarioRun::rejected, and any other pipeline exception
 /// (logic_error, crash-adjacent) propagates — the harness treats that as
 /// a hard failure by design.
 ScenarioRun run_scenario(const ScenarioSpec& spec, const ScenarioWorld& world,
-                         const FaultSpec& fault, std::size_t n_threads,
-                         runtime::StageMetrics* stage_metrics = nullptr);
+                         const FaultSpec& fault, std::size_t n_threads);
 
 }  // namespace rge::testing

@@ -2,6 +2,7 @@
 #include "math/interp.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -47,6 +48,45 @@ TEST(LinearInterpolator, Sample) {
   EXPECT_DOUBLE_EQ(ys[0], 0.0);
   EXPECT_DOUBLE_EQ(ys[2], 2.0);
   EXPECT_DOUBLE_EQ(ys[4], 4.0);
+}
+
+TEST(SampleLinear, EmptyClampedEndsAndDuplicateKeys) {
+  EXPECT_EQ(sample_linear(std::vector<double>{}, std::vector<double>{}, 1.0),
+            0.0);
+  // Clamped ends return the endpoint value itself, not a lerp with the
+  // neighbour: an infinite neighbour would turn 0*inf into NaN, and
+  // -0.0 + 0.0 would lose the sign.
+  const std::vector<double> ks = {0.0, 1.0, 1.0, 2.0};
+  const std::vector<double> ys = {-0.0, 3.0, 5.0, 7.0};
+  EXPECT_TRUE(std::signbit(sample_linear(ks, ys, -1.0)));
+  EXPECT_EQ(sample_linear(ks, std::vector<double>{1.0, INFINITY, 0.0, 2.0},
+                          -5.0),
+            1.0);
+  EXPECT_EQ(sample_linear(ks, ys, 9.0), 7.0);
+  // Duplicate keys follow std::upper_bound: q on the repeated key takes
+  // the last of its samples.
+  EXPECT_EQ(sample_linear(ks, ys, 1.0), 5.0);
+  EXPECT_DOUBLE_EQ(sample_linear(ks, ys, 1.5), 6.0);
+}
+
+TEST(SampleLinear, KeyProjectionMatchesArrays) {
+  struct Rec {
+    double t;
+    double v;
+  };
+  const std::vector<Rec> recs = {{0.0, 1.0}, {0.5, -2.0}, {2.0, 4.0}};
+  const std::vector<double> ts = {0.0, 0.5, 2.0};
+  const std::vector<double> vs = {1.0, -2.0, 4.0};
+  for (const double q : {-1.0, 0.0, 0.2, 0.5, 1.3, 2.0, 3.0}) {
+    EXPECT_EQ(sample_linear(recs, &Rec::t, &Rec::v, q),
+              sample_linear(ts, vs, q));
+    const InterpPos a = locate(recs, &Rec::t, q);
+    const InterpPos b = locate(ts, q);
+    EXPECT_EQ(a.lo, b.lo);
+    EXPECT_EQ(a.hi, b.hi);
+    EXPECT_EQ(a.f, b.f);
+  }
+  EXPECT_EQ(sample_linear(std::vector<Rec>{}, &Rec::t, &Rec::v, 0.0), 0.0);
 }
 
 TEST(Linspace, EdgeCases) {

@@ -139,6 +139,67 @@ TEST(MapService, TilePartitionCoversEveryCellExactlyOnce) {
 
 // ---- determinism matrix -------------------------------------------------
 
+TEST(MapService, SampleCountConservesGapAndOffGridSamples) {
+  // Samples in the gap between one tile's last cell and the next tile's
+  // first, exactly on a tile boundary, and beyond both grid ends must each
+  // be booked exactly once; an upload that misses the grid books none.
+  const road::RoadNetwork net = small_city();
+  const MapServiceConfig cfg = base_config(1);
+  const MapService probe(net, cfg);
+  RoadId road = 0;
+  while (road + 1 < probe.n_roads() && probe.tiles_of(road) < 3) ++road;
+  ASSERT_GE(probe.tiles_of(road), 3u);
+  const core::FusionGrid& grid = probe.grid(road);
+  const auto cpt = static_cast<std::size_t>(
+      std::llround(cfg.tile_length_m / cfg.fusion.distance_step_m));
+
+  std::vector<double> keys = {grid.lo - 40.0, grid.lo - 1.0, grid.lo};
+  for (std::size_t t = 1; t < probe.tiles_of(road); ++t) {
+    const double edge = grid.at(t * cpt);
+    const double prev = grid.at(t * cpt - 1);
+    keys.push_back(0.5 * (prev + edge));  // inter-tile gap
+    keys.push_back(edge);                 // first key of the next tile
+  }
+  keys.push_back(grid.hi);
+  keys.push_back(grid.hi + 2.0);
+  keys.push_back(grid.hi + 75.0);
+
+  TrackUpload on_grid;
+  on_grid.road = road;
+  on_grid.track.source = "gaps";
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    on_grid.track.s.push_back(keys[i]);
+    on_grid.track.t.push_back(static_cast<double>(i));
+    on_grid.track.grade.push_back(0.01);
+    on_grid.track.grade_var.push_back(1e-4);
+    on_grid.track.speed.push_back(10.0);
+  }
+  on_grid.track.validate();
+  TrackUpload off_grid = on_grid;
+  for (double& k : off_grid.track.s) k += grid.hi + 1000.0;
+  const std::vector<TrackUpload> uploads = {on_grid, off_grid};
+
+  for (const std::size_t shards : {1u, 4u, 16u}) {
+    for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", threads " +
+                   std::to_string(threads));
+      MapService svc(net, base_config(shards));
+      if (threads == 0) {
+        for (const auto& up : uploads) svc.ingest_one(up);
+      } else {
+        runtime::ThreadPool pool(threads);
+        svc.ingest(uploads, &pool);
+      }
+      EXPECT_EQ(svc.total_samples_ingested(), keys.size());
+      std::uint64_t per_shard = 0;
+      for (const auto& st : svc.shard_stats()) {
+        per_shard += st.samples_ingested;
+      }
+      EXPECT_EQ(per_shard, keys.size());
+    }
+  }
+}
+
 TEST(MapService, BitIdenticalAcrossPoolSizesAndShardCounts) {
   const road::RoadNetwork net = small_city();
   const auto fleet = synth_fleet(net, 120, 9);
@@ -382,11 +443,10 @@ TEST(MapService, ConcurrentIngestPublishSnapshotIsSafe) {
     expected_samples += up.track.s.size();
     serial.ingest_one(up);
   }
-  // total_samples_ingested() uses tile-local attribution, which can
-  // count a boundary-straddling sample in two tiles; compare against the
-  // serial service (identical routing), not the raw upload sizes.
-  EXPECT_GE(svc.total_samples_ingested(), expected_samples / 2);
-  EXPECT_EQ(svc.total_samples_ingested(), serial.total_samples_ingested());
+  // Tiles partition each road's key line, so every sample of every
+  // upload is attributed to exactly one tile.
+  EXPECT_EQ(svc.total_samples_ingested(), expected_samples);
+  EXPECT_EQ(serial.total_samples_ingested(), expected_samples);
 
   svc.publish();
   serial.publish();

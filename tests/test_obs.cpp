@@ -1,6 +1,6 @@
 // Unit tests for the observability layer: metrics registry (counters /
-// gauges / histograms across threads), JSON snapshot, tracing spans, and
-// the Chrome-trace export.
+// gauges / histograms across threads), JSON snapshot, tracing spans, the
+// Chrome-trace export, and the per-name span totals reader.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "runtime/thread_pool.hpp"
 
 #if RGE_OBS_ENABLED
 
@@ -210,6 +211,70 @@ TEST(ObsTrace, WriteChromeTraceCreatesFile) {
   std::remove(path.c_str());
 }
 
+TEST(ObsSpanTotals, SumsNestedAndRepeatedNames) {
+  ObsSandbox sandbox(false, true);
+  for (int i = 0; i < 2; ++i) {
+    OBS_SPAN("totals.outer");
+    for (int k = 0; k < 3; ++k) {
+      OBS_SPAN("totals.inner");
+    }
+    OBS_SPAN_DYN(std::string("totals.inner"));  // same name, built at runtime
+  }
+  const auto totals = rge::obs::span_totals();
+  ASSERT_EQ(totals.count("totals.outer"), 1u);
+  ASSERT_EQ(totals.count("totals.inner"), 1u);
+  EXPECT_EQ(totals.at("totals.outer").count, 2);
+  EXPECT_EQ(totals.at("totals.inner").count, 8);
+  // Each span counts in full, so the parents cover their children.
+  EXPECT_GE(totals.at("totals.outer").total_ns,
+            totals.at("totals.inner").total_ns);
+}
+
+TEST(ObsSpanTotals, CollectsSpansFromSeveralPoolThreads) {
+  ObsSandbox sandbox(false, true);
+  constexpr std::size_t kBodies = 64;
+  {
+    rge::runtime::ThreadPool pool(4);
+    rge::runtime::parallel_for(pool, kBodies, [](std::size_t i) {
+      OBS_SPAN("totals.body");
+      // Scrape while other threads are still recording.
+      if (i % 16 == 0) (void)rge::obs::span_totals();
+    });
+    // Live workers' buffers are read before the pool joins...
+    EXPECT_EQ(rge::obs::span_totals().at("totals.body").count,
+              static_cast<std::int64_t>(kBodies));
+  }
+  // ...and the retired buffers of exited threads after it.
+  std::thread exiting([] { OBS_SPAN("totals.exited"); });
+  exiting.join();
+  const auto totals = rge::obs::span_totals();
+  EXPECT_EQ(totals.at("totals.body").count,
+            static_cast<std::int64_t>(kBodies));
+  EXPECT_EQ(totals.at("totals.exited").count, 1);
+}
+
+TEST(ObsSpanTotals, ResetByClearTraceAndSilentWhenTracingOff) {
+  ObsSandbox sandbox(false, true);
+  {
+    OBS_SPAN("totals.cleared");
+  }
+  EXPECT_EQ(rge::obs::span_totals().at("totals.cleared").count, 1);
+  rge::obs::clear_trace();
+  EXPECT_TRUE(rge::obs::span_totals().empty());
+
+  rge::obs::set_tracing(false);
+  {
+    OBS_SPAN("totals.untraced");
+  }
+  EXPECT_TRUE(rge::obs::span_totals().empty());
+
+  rge::obs::set_tracing(true);
+  {
+    OBS_SPAN("totals.cleared");
+  }
+  EXPECT_EQ(rge::obs::span_totals().at("totals.cleared").count, 1);
+}
+
 }  // namespace
 
 #else  // !RGE_OBS_ENABLED
@@ -220,6 +285,7 @@ TEST(ObsCompiledOut, StubsAreInertConstants) {
   OBS_SPAN("gone");
   EXPECT_FALSE(rge::obs::enabled());
   EXPECT_EQ(rge::obs::metrics_json(), "{}");
+  EXPECT_TRUE(rge::obs::span_totals().empty());
 }
 
 #endif

@@ -1,7 +1,8 @@
 // Determinism and equivalence tests for the parallel batch runtime:
 // run_pipeline_batch must be bit-identical to the serial pipeline for any
 // thread count, and the batch cloud-fusion entry point must match the
-// serial fuser sample for sample.
+// serial fuser sample for sample. Per-stage timing is read back from the
+// obs span totals.
 #include "core/pipeline.hpp"
 
 #include <vector>
@@ -10,6 +11,7 @@
 
 #include "core/map_matching.hpp"
 #include "core/track_fusion.hpp"
+#include "obs/obs.hpp"
 #include "road/network.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sensors/smartphone.hpp"
@@ -34,6 +36,23 @@ std::vector<sensors::SensorTrace> make_traces(int count) {
   }
   return traces;
 }
+
+/// Fresh obs state with metrics and span recording on; everything off and
+/// cleared again on exit so tests do not leak state.
+struct ObsSandbox {
+  ObsSandbox() {
+    obs::reset_all();
+    obs::set_enabled(true);
+    obs::set_tracing(true);
+  }
+  ~ObsSandbox() {
+    obs::set_enabled(false);
+    obs::set_tracing(false);
+    obs::reset_all();
+  }
+  ObsSandbox(const ObsSandbox&) = delete;
+  ObsSandbox& operator=(const ObsSandbox&) = delete;
+};
 
 /// Exact (bitwise, via ==) comparison of every array of two tracks.
 void expect_tracks_identical(const GradeTrack& a, const GradeTrack& b) {
@@ -85,16 +104,25 @@ TEST(PipelineBatch, PropagatesPerTraceErrors) {
 }
 
 TEST(PipelineBatch, MetricsAccumulateAcrossTrips) {
+#if !RGE_OBS_ENABLED
+  GTEST_SKIP() << "observability compiled out";
+#else
   const auto traces = make_traces(2);
-  runtime::StageMetrics metrics;
+  const ObsSandbox sandbox;
   const auto results = run_pipeline_batch(traces, vehicle::VehicleParams{},
-                                          PipelineConfig{}, 2, &metrics);
+                                          PipelineConfig{}, 2);
   EXPECT_EQ(results.size(), 2u);
-  EXPECT_EQ(metrics.trips.load(), 2);
-  EXPECT_GT(metrics.align_ns.load(), 0);
-  EXPECT_GT(metrics.detect_ns.load(), 0);
-  EXPECT_GT(metrics.ekf_ns.load(), 0);
-  EXPECT_GT(metrics.fuse_ns.load(), 0);
+  EXPECT_EQ(obs::Registry::global().snapshot().counters.at("pipeline.trips"),
+            2);
+  const auto spans = obs::span_totals();
+  for (const char* stage : {"pipeline.align", "pipeline.detect",
+                            "pipeline.ekf", "pipeline.fuse"}) {
+    SCOPED_TRACE(stage);
+    ASSERT_EQ(spans.count(stage), 1u);
+    EXPECT_EQ(spans.at(stage).count, 2);
+    EXPECT_GT(spans.at(stage).total_ns, 0);
+  }
+#endif
 }
 
 TEST(PipelineBatch, FusedTracksSatisfyInvariants) {
@@ -124,11 +152,15 @@ TEST(FuseDistanceBatch, BitIdenticalToSerialFuser) {
   const GradeTrack serial = fuse_tracks_distance(uploads, fc);
   for (std::size_t threads : {1u, 3u}) {
     runtime::ThreadPool pool(threads);
-    runtime::StageMetrics metrics;
-    const GradeTrack batch =
-        fuse_tracks_distance_batch(uploads, fc, pool, &metrics);
+    const ObsSandbox sandbox;
+    const GradeTrack batch = fuse_tracks_distance_batch(uploads, fc, pool);
     expect_tracks_identical(batch, serial);
-    EXPECT_GT(metrics.fuse_ns.load(), 0);
+    if (obs::kCompiledIn) {
+      const auto spans = obs::span_totals();
+      ASSERT_EQ(spans.count("fusion.distance_batch"), 1u);
+      EXPECT_EQ(spans.at("fusion.distance_batch").count, 1);
+      EXPECT_GT(spans.at("fusion.distance_batch").total_ns, 0);
+    }
   }
 }
 

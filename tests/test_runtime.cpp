@@ -1,5 +1,5 @@
 // Unit tests for the batch-estimation runtime: thread pool, parallel_for
-// (including nesting and exception propagation), and stage metrics.
+// (including nesting and exception propagation).
 #include "runtime/thread_pool.hpp"
 
 #include <atomic>
@@ -8,8 +8,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "runtime/metrics.hpp"
 
 namespace rge::runtime {
 namespace {
@@ -110,29 +108,6 @@ TEST(ParallelFor, DeterministicSlotWrites) {
   const auto serial = run(1);
   EXPECT_EQ(serial, run(2));
   EXPECT_EQ(serial, run(8));
-}
-
-TEST(StageMetrics, ScopedTimerAccumulates) {
-  StageMetrics m;
-  {
-    ScopedTimer t(&m.ekf_ns);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  }
-  EXPECT_GT(m.ekf_ns.load(), 0);
-  EXPECT_EQ(m.align_ns.load(), 0);
-  m.trips = 3;
-  const std::string s = m.summary();
-  EXPECT_NE(s.find("trips=3"), std::string::npos);
-  EXPECT_NE(s.find("ekf"), std::string::npos);
-  m.reset();
-  EXPECT_EQ(m.ekf_ns.load(), 0);
-  EXPECT_EQ(m.trips.load(), 0);
-}
-
-TEST(StageMetrics, NullSinkIsNoOp) {
-  ScopedTimer t(nullptr);  // must not crash on destruction
-  SUCCEED();
 }
 
 }  // namespace
