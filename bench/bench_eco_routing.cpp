@@ -3,10 +3,10 @@
 //
 // Workloads:
 //   * the OSM-like synthetic city (52x52, ~10.9k directed edges): freeze
-//     cost (cost tables vs landmark preprocessing), legacy
-//     RouteGraph::shortest_path baseline, per-metric CSR-Dijkstra vs ALT
-//     latency percentiles, concurrent query traffic through the runtime
-//     thread pool (read-only shared graph, one QueryContext per worker),
+//     cost (cost tables vs landmark preprocessing), per-metric
+//     CSR-Dijkstra vs ALT latency percentiles, concurrent query traffic
+//     through the runtime thread pool (read-only shared graph, one
+//     QueryContext per worker),
 //     and eco-vs-shortest fuel/CO2/length deltas bucketed by road class
 //     and scaled by the AADT traffic model (Fig. 10(b) volumes);
 //   * the paper's 164.8 km Table-III network (Fig. 7(a)): the routing
@@ -159,39 +159,13 @@ int main(int argc, char** argv) {
       {"landmarks_ms", csr.build_stats().landmarks_ms},
   };
 
-  // Legacy baseline: std::function costs, per-edge VSP re-integration,
-  // O(n) allocation per query. The engine this PR replaces.
   const auto pairs = random_pairs(city.node_count(), 1000, 2718);
-  const planning::CostModel model;
-  const auto legacy_cost = [&model](const planning::Edge& e) {
-    const double speed =
-        e.speed_mps > 0.0 ? e.speed_mps : model.default_speed_mps;
-    return planning::edge_cost_fuel(e, speed, model.vsp);
-  };
-  constexpr std::size_t kLegacyN = 30;
-  double legacy_checksum = 0.0;
-  const auto t_legacy = Clock::now();
-  for (std::size_t i = 0; i < kLegacyN; ++i) {
-    legacy_checksum +=
-        city.shortest_path(pairs[i].first, pairs[i].second, legacy_cost)
-            .cost;
-  }
-  const double legacy_mean_ms =
-      ms_since(t_legacy) / static_cast<double>(kLegacyN);
-  std::printf("\nlegacy shortest_path (fuel): %.3f ms/query "
-              "(%zu queries, checksum %.6f)\n",
-              legacy_mean_ms, kLegacyN, legacy_checksum);
-  doc["legacy"] = testing::Json::Object{
-      {"metric", "fuel"},
-      {"queries", kLegacyN},
-      {"mean_ms", legacy_mean_ms},
-  };
 
   // Per-metric CSR-Dijkstra vs ALT (ALT checked bit-identical as timed).
   std::printf("\n%-9s %26s %36s %9s\n", "metric", "csr-dijkstra (ms)",
               "alt (ms)", "speedup");
-  std::printf("%-9s %8s %8s %8s %8s %8s %8s %9s %9s\n", "", "mean", "p99",
-              "settled", "mean", "p99", "settled", "vs dij", "vs legacy");
+  std::printf("%-9s %8s %8s %8s %8s %8s %8s %9s\n", "", "mean", "p99",
+              "settled", "mean", "p99", "settled", "vs dij");
   testing::Json::Object metrics_json;
   std::vector<planning::RouteGraph::Route> dij_routes(pairs.size());
   for (const Metric m : {Metric::kDistance, Metric::kTime, Metric::kFuel,
@@ -199,11 +173,10 @@ int main(int argc, char** argv) {
     const auto dij = run_queries(csr, pairs, m, false, &dij_routes, nullptr);
     const auto alt = run_queries(csr, pairs, m, true, nullptr, &dij_routes);
     const double vs_dij = dij.mean_ms / alt.mean_ms;
-    const double vs_legacy = legacy_mean_ms / alt.mean_ms;
-    std::printf("%-9s %8.4f %8.4f %8.0f %8.4f %8.4f %8.0f %8.1fx %8.0fx%s\n",
+    std::printf("%-9s %8.4f %8.4f %8.0f %8.4f %8.4f %8.0f %8.1fx%s\n",
                 planning::metric_name(m), dij.mean_ms, dij.p99_ms,
                 dij.settled_mean, alt.mean_ms, alt.p99_ms, alt.settled_mean,
-                vs_dij, vs_legacy,
+                vs_dij,
                 alt.mismatches == 0 ? "" : "  MISMATCH!");
     if (alt.mismatches != 0) {
       std::fprintf(stderr, "ALT/Dijkstra mismatch on %s\n",
@@ -214,7 +187,6 @@ int main(int argc, char** argv) {
         {"dijkstra", to_json(dij)},
         {"alt", to_json(alt)},
         {"alt_speedup_vs_dijkstra", vs_dij},
-        {"alt_speedup_vs_legacy", vs_legacy},
     };
   }
   doc["osm_city_queries"] = std::move(metrics_json);

@@ -24,7 +24,7 @@
 #include "math/interp_batch.hpp"
 #include "math/loess.hpp"
 #include "math/loess_batch.hpp"
-#include "math/matrix.hpp"
+#include "math/matn.hpp"
 #include "math/rng.hpp"
 #include "math/simd.hpp"
 #include "road/network.hpp"
@@ -50,18 +50,21 @@ void BM_GradeEkfStep(benchmark::State& state) {
 }
 BENCHMARK(BM_GradeEkfStep);
 
-void BM_MatrixInverse4x4(benchmark::State& state) {
+void BM_MatNInverse4x4(benchmark::State& state) {
   math::Rng rng(2);
-  math::Mat a(4, 4);
+  math::MatN<4, 4> a;
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
     a(i, i) += 4.0;
   }
   for (auto _ : state) {
+    // `a` is inline-visible: mark it as possibly changed so the inverse
+    // cannot be hoisted out of the loop.
+    benchmark::DoNotOptimize(a);
     benchmark::DoNotOptimize(a.inverse());
   }
 }
-BENCHMARK(BM_MatrixInverse4x4);
+BENCHMARK(BM_MatNInverse4x4);
 
 void BM_LoessSmoothing(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/grade_ekf.hpp"  // GradeTrack, VelocityMeasurement
-#include "math/kalman.hpp"
 #include "sensors/trace.hpp"
 #include "vehicle/params.hpp"
 

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "math/kalman.hpp"
 #include "sensors/trace.hpp"
 #include "vehicle/params.hpp"
 
@@ -72,10 +71,9 @@ struct GradeTrack {
 /// The 2-state filter is hand-rolled (state and covariance unpacked into
 /// five doubles) so one predict+update costs zero heap allocations: the
 /// online estimator runs it per 50 Hz IMU push. Every expression mirrors
-/// what math::ExtendedKalmanFilter computes for this model, in the same
-/// association order, so results are bit-identical to the generic filter
-/// (pinned by test_grade_ekf.MatchesGenericEkfBitExact) and the batch
-/// pipeline goldens are unaffected.
+/// what the oracle EKF (tests/oracles/kalman.hpp) computes for this model,
+/// in the same association order, so results are bit-identical to it
+/// (pinned by test_grade_ekf.MatchesGenericEkfBitExact).
 class GradeEkf {
  public:
   GradeEkf(const vehicle::VehicleParams& params, const GradeEkfConfig& cfg,

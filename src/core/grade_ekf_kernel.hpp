@@ -3,10 +3,10 @@
 // The predict/update arithmetic of GradeEkf lives here as inline functions
 // over a 5-double state so the scalar filter (grade_ekf.cpp) and the SoA
 // batch filter (grade_ekf_batch.cpp) share one definition: the expressions
-// and association order are exactly the hand-rolled unrolled generic-EKF
-// computation that the class has carried since PR 3, so the extraction is
-// pure code motion and every scalar result stays bit-identical (pinned by
-// test_grade_ekf.MatchesGenericEkfBitExact and the golden scenarios).
+// and association order are the oracle EKF's (tests/oracles/kalman.hpp)
+// unrolled for this 2-state model, so every result is bit-identical to it
+// (pinned by test_grade_ekf.MatchesGenericEkfBitExact and the golden
+// scenarios).
 //
 // `sin_fn`/`cos_fn` are injected so the batch kernel can substitute the
 // vectorizable polynomial versions under RGE_SIMD=ON while the scalar
@@ -16,7 +16,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "math/matrix.hpp"
+#include "math/singular_matrix_error.hpp"
 
 namespace rge::core::ekf_kernel {
 

@@ -35,32 +35,6 @@ double lerp_at(const math::InterpPos& p, const std::vector<double>& vals) {
   return vals[p.lo] * (1.0 - p.f) + vals[p.hi] * p.f;
 }
 
-/// Pre-cursor locate: one binary search per query (std::upper_bound).
-/// math::locate and math::InterpCursor::advance reproduce this result
-/// bit-for-bit; this copy exists only so the *_reference entry points
-/// below stay byte-for-byte the old algorithm.
-math::InterpPos locate_ref(const std::vector<double>& keys, double q) {
-  if (q <= keys.front()) return {0, 0, 0.0};
-  if (q >= keys.back()) return {keys.size() - 1, keys.size() - 1, 0.0};
-  const auto it = std::upper_bound(keys.begin(), keys.end(), q);
-  const std::size_t hi = static_cast<std::size_t>(it - keys.begin());
-  const std::size_t lo = hi - 1;
-  const double denom = keys[hi] - keys[lo];
-  return {lo, hi, denom > 0.0 ? (q - keys[lo]) / denom : 0.0};
-}
-
-/// Interpolate a track's grade and variance at time (or distance) q using
-/// the given key array; clamped at the ends. Reference path only.
-std::pair<double, double> sample_track(const GradeTrack& track,
-                                       const std::vector<double>& keys,
-                                       double q) {
-  if (keys.empty()) {
-    throw std::invalid_argument("sample_track: empty track");
-  }
-  const math::InterpPos p = locate_ref(keys, q);
-  return {lerp_at(p, track.grade), lerp_at(p, track.grade_var)};
-}
-
 GradeTrack make_fused_shell(std::size_t n) {
   GradeTrack fused;
   fused.source = "fused-distance";
@@ -87,9 +61,9 @@ void check_track_shape(const GradeTrack& tr, const char* who) {
 /// Fill fused cells [begin, end) on the grid, track-major: for each track
 /// one monotone cursor sweeps the ascending cell positions, accumulating
 /// into chunk-local sums. Per cell the += order is track order — the same
-/// order as the per-cell loop of the reference implementation — so serial,
-/// chunked-parallel, and accumulator-streamed fills all finalize to
-/// bit-identical values.
+/// order as the per-cell loop of the binary-search oracle in
+/// tests/oracles/track_fusion — so serial, chunked-parallel, and
+/// accumulator-streamed fills all finalize to bit-identical values.
 void fuse_distance_range(const std::vector<GradeTrack>& tracks,
                          const FusionConfig& cfg, const FusionGrid& grid,
                          std::size_t begin, std::size_t end,
@@ -241,8 +215,8 @@ void FusionAccumulator::add_track_cells(const GradeTrack& track,
   const double front = track.s.front();
   const double back = track.s.back();
   // Covered cells: grid positions inside [front, back]. Boundary cells hit
-  // the clamped ends of the interpolation (f == 0), exactly as the
-  // reference locate() would.
+  // the clamped ends of the interpolation (f == 0), exactly as a
+  // binary-search locate() would.
   std::size_t i_lo = grid_.n;
   std::size_t i_hi = grid_.n;  // exclusive
   if (back >= grid_.lo && front <= grid_.hi) {
@@ -520,7 +494,7 @@ GradeTrack fuse_tracks_time(const std::vector<GradeTrack>& tracks,
   }
   for (const auto& tr : tracks) {
     if (tr.t.empty()) {
-      throw std::invalid_argument("sample_track: empty track");
+      throw std::invalid_argument("fuse_tracks_time: empty track");
     }
   }
   const GradeTrack& ref = tracks[reference];
@@ -582,76 +556,6 @@ GradeTrack fuse_tracks_distance_batch(const std::vector<GradeTrack>& tracks,
     const std::size_t end = std::min(grid.n, begin + grain);
     fuse_distance_range(tracks, cfg, grid, begin, end, fused);
   });
-  fused.validate();
-  return fused;
-}
-
-// -------------------------------------------- reference (pre-cursor) ----
-
-GradeTrack fuse_tracks_time_reference(const std::vector<GradeTrack>& tracks,
-                                      std::size_t reference,
-                                      const FusionConfig& cfg) {
-  if (tracks.empty()) {
-    throw std::invalid_argument("fuse_tracks_time: no tracks");
-  }
-  if (reference >= tracks.size()) {
-    throw std::invalid_argument("fuse_tracks_time: bad reference index");
-  }
-  const GradeTrack& ref = tracks[reference];
-
-  GradeTrack fused;
-  fused.source = "fused";
-  fused.t = ref.t;
-  fused.s = ref.s;
-  fused.speed = ref.speed;
-  fused.grade.reserve(ref.size());
-  fused.grade_var.reserve(ref.size());
-
-  std::vector<double> thetas(tracks.size());
-  std::vector<double> variances(tracks.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    const double ti = ref.t[i];
-    for (std::size_t k = 0; k < tracks.size(); ++k) {
-      const auto [g, p] = sample_track(tracks[k], tracks[k].t, ti);
-      thetas[k] = g;
-      variances[k] = p;
-    }
-    const auto [gbar, pbar] =
-        convex_combine(thetas, variances, cfg.min_variance);
-    fused.grade.push_back(gbar);
-    fused.grade_var.push_back(pbar);
-  }
-  fused.validate();
-  return fused;
-}
-
-GradeTrack fuse_tracks_distance_reference(
-    const std::vector<GradeTrack>& tracks, const FusionConfig& cfg) {
-  const FusionGrid grid = make_overlap_grid(tracks, cfg);
-  GradeTrack fused = make_fused_shell(grid.n);
-  for (std::size_t i = 0; i < grid.n; ++i) {
-    const double s = grid.at(i);
-    const std::size_t n_tracks = tracks.size();
-    double weight_sum = 0.0;
-    double grade_sum = 0.0;
-    double speed_sum = 0.0;
-    double t_sum = 0.0;
-    for (std::size_t k = 0; k < n_tracks; ++k) {
-      const GradeTrack& tr = tracks[k];
-      const math::InterpPos pos = locate_ref(tr.s, s);
-      const double p = std::max(cfg.min_variance, lerp_at(pos, tr.grade_var));
-      const double w = 1.0 / p;
-      weight_sum += w;
-      grade_sum += lerp_at(pos, tr.grade) * w;
-      speed_sum += lerp_at(pos, tr.speed) * w;
-      t_sum += lerp_at(pos, tr.t);
-    }
-    fused.s[i] = s;
-    fused.grade[i] = grade_sum / weight_sum;
-    fused.grade_var[i] = 1.0 / weight_sum;
-    fused.speed[i] = speed_sum / weight_sum;
-    fused.t[i] = t_sum / static_cast<double>(n_tracks);
-  }
   fused.validate();
   return fused;
 }

@@ -17,6 +17,10 @@
 // costs O(track length) (one monotone interpolation cursor pass), and
 // snapshot() reproduces fuse_tracks_distance bit-for-bit on the cells all
 // contributors cover.
+//
+// Every fuser here walks tracks with monotone math::InterpCursor passes;
+// the per-sample binary-search oracle in tests/oracles/track_fusion.hpp
+// pins them bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -246,16 +250,6 @@ GradeTrack fuse_tracks_distance(const std::vector<GradeTrack>& tracks,
 GradeTrack fuse_tracks_distance_batch(const std::vector<GradeTrack>& tracks,
                                       const FusionConfig& cfg,
                                       runtime::ThreadPool& pool);
-
-/// Reference implementations: the pre-cursor code paths doing one binary
-/// search per (sample, track) pair. Kept verbatim so tests can assert the
-/// cursor-based production paths are bit-identical, and benches can
-/// measure the win. Not for production use.
-GradeTrack fuse_tracks_time_reference(const std::vector<GradeTrack>& tracks,
-                                      std::size_t reference = 0,
-                                      const FusionConfig& cfg = {});
-GradeTrack fuse_tracks_distance_reference(const std::vector<GradeTrack>& tracks,
-                                          const FusionConfig& cfg = {});
 
 /// Scalar Eq. 6 helper: inverse-variance weighted mean. Returns
 /// {theta_bar, fused_variance}. Sizes must match and be nonzero.

@@ -57,7 +57,7 @@ double fuel_per_km_gal(double speed_mps, double grade_rad,
 /// accumulated left to right. This is the per-edge energy cost the routing
 /// layer precomputes; keeping the accumulation order fixed here is what
 /// lets a frozen cost table stay bit-identical to an on-the-fly
-/// edge_cost_fuel evaluation.
+/// evaluation per edge.
 /// @throws std::invalid_argument on non-positive speed or step.
 double profile_fuel_gal(std::span<const double> grades, double step_m,
                         double speed_mps, const VspParams& p = {});

@@ -140,7 +140,7 @@ std::vector<double> loess_fit_batch(const LoessConfig& cfg,
           for (std::size_t b = 0; b < B; ++b) fi[b] = yi[b];
         } else {
           // Forward substitution on permuted rhs (L has unit diagonal),
-          // then back substitution — Mat::solve's loops, lane-wide.
+          // then back substitution — detail::solve_small's loops, lane-wide.
           for (std::size_t r = 0; r < up; ++r) {
             double* yr = &yv[r * B];
             const double* src = &atb[perm[r] * B];

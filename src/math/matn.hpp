@@ -1,20 +1,20 @@
 // Fixed-size (compile-time dimension) matrix/vector algebra and EKF steps.
 //
-// The dynamic math::Mat/math::Vec classes allocate their storage on the
-// heap, which is fine for one-shot fusion math but not for per-sample
-// filter loops (run_grade_rts allocates ~30 small matrices per smoothing
-// step). MatN/VecN keep the storage inline (std::array) in the style of
+// MatN/VecN keep their storage inline (std::array) in the style of
 // Miniflie's `ekf.hpp` fixed `float dat[EKF_N][EKF_N]` matrices, so a
-// predict+update costs zero heap allocations and the optimizer can unroll
-// every loop over the compile-time bounds.
+// filter predict+update costs zero heap allocations and the optimizer can
+// unroll every loop over the compile-time bounds. EkfN is the generic
+// production EKF: run_grade_rts, run_grade_ekf_with_baro and the
+// altitude-EKF baseline run on it (GradeEkf and GradeEkfBatch are
+// hand-unrolled 2-state specializations of the same arithmetic).
 //
 // Bit-compatibility contract: every operation below replicates the
-// corresponding math::Mat algorithm *line by line* — the same loop
-// structure, accumulation order and association, including Mat's
-// `aik == 0.0` skip in operator*, the partial-pivot selection in
-// inverse()/solve(), and the 0.5*(a+b) symmetrize — so replacing Mat with
-// MatN in a filter changes no result bit (pinned by test_matn against
-// randomized inputs and by the rts_offline golden scenario).
+// dynamic oracle in tests/oracles/matrix.hpp and kalman.hpp *line by line*
+// — the same loop structure, accumulation order and association,
+// including the `aik == 0.0` skip in operator*, the partial-pivot
+// selection in inverse()/solve(), and the 0.5*(a+b) symmetrize — so the
+// parity tests (test_matn against randomized inputs, test_grade_ekf,
+// test_baselines) can demand exact equality.
 #pragma once
 
 #include <array>
@@ -22,7 +22,7 @@
 #include <cstddef>
 #include <utility>
 
-#include "math/matrix.hpp"  // SingularMatrixError
+#include "math/singular_matrix_error.hpp"
 
 namespace rge::math {
 
@@ -84,8 +84,9 @@ struct MatN {
   friend MatN operator+(MatN a, const MatN& b) { return a += b; }
   friend MatN operator-(MatN a, const MatN& b) { return a -= b; }
 
-  /// Matrix product, mirroring Mat::operator*(Mat): i/k/j loop order with
-  /// the `aik == 0.0` row-term skip (identical accumulation sequence).
+  /// Matrix product, mirroring the oracle Mat::operator*(Mat): i/k/j loop
+  /// order with the `aik == 0.0` row-term skip (identical accumulation
+  /// sequence).
   template <std::size_t C2>
   MatN<R, C2> operator*(const MatN<C, C2>& o) const {
     MatN<R, C2> out;
@@ -224,19 +225,21 @@ struct MatN {
   }
 };
 
-/// Mirror of math::quadratic_form: x . (A x).
+/// Mirror of the oracle quadratic_form: x . (A x).
 template <std::size_t N>
 double quadratic_form_n(const MatN<N, N>& a, const VecN<N>& x) {
   return x.dot(a * x);
 }
 
-/// Fixed-size EKF predict/update steps mirroring ExtendedKalmanFilter.
+/// Fixed-size EKF predict/update steps mirroring the oracle EKF
+/// (tests/oracles/kalman.hpp).
 ///
-/// The dynamic filter takes std::function process/measurement models; at
+/// The oracle takes std::function process/measurement models; at
 /// compile-time dimensions the caller instead evaluates the model at the
 /// prior state itself and passes the propagated state and Jacobian in
 /// (identical inputs, identical arithmetic). `update` returns false when
-/// the NIS gate rejects the measurement, like UpdateResult::accepted.
+/// the NIS gate rejects the measurement, like the oracle's
+/// UpdateResult::accepted.
 template <std::size_t N>
 class EkfN {
  public:
@@ -247,13 +250,8 @@ class EkfN {
   const VecN<N>& state() const { return x_; }
   const MatN<N, N>& covariance() const { return p_; }
 
-  void set_state(const VecN<N>& x, const MatN<N, N>& p) {
-    x_ = x;
-    p_ = p;
-  }
-
-  /// Mirror of ExtendedKalmanFilter::predict: the caller supplies
-  /// x_next = f(x, u) and f_jac = df/dx evaluated at the *prior* state.
+  /// Predict step: the caller supplies x_next = f(x, u) and
+  /// f_jac = df/dx evaluated at the *prior* state.
   void predict(const VecN<N>& x_next, const MatN<N, N>& f_jac,
                const MatN<N, N>& q) {
     x_ = x_next;
@@ -261,9 +259,11 @@ class EkfN {
     p_.symmetrize();
   }
 
-  /// Mirror of ExtendedKalmanFilter::update. `predicted` is h(x) at the
-  /// prior state and `h_jac` = dh/dx there. Throws SingularMatrixError
-  /// when S is numerically singular, exactly like the dynamic filter.
+  /// Update step. `predicted` is h(x) at the prior state and `h_jac` =
+  /// dh/dx there; `nis_out`, when given, receives the normalized
+  /// innovation squared (also for a gated measurement). Throws
+  /// SingularMatrixError when S is numerically singular, exactly like the
+  /// oracle.
   template <std::size_t M>
   bool update(const VecN<M>& predicted, const MatN<M, N>& h_jac,
               const MatN<M, M>& r, const VecN<M>& z, double gate_nis = 0.0,

@@ -1,18 +1,18 @@
 // Allocation-free LU solve for tiny (n <= 4) row-major systems.
 //
-// Mirrors Mat::solve(Vec) — lu_decompose with partial pivoting, forward
-// substitution on the permuted rhs, back substitution — operation for
-// operation, so swapping a Mat-based solve of the same system for this one
-// changes no result bit. Used by the LOESS normal-equation solves (scalar
-// and batch), where the per-point Mat/Vec temporaries used to be the last
-// heap allocations on the estimator hot path.
+// Mirrors the oracle Mat::solve(Vec) in tests/oracles/matrix.hpp —
+// lu_decompose with partial pivoting, forward substitution on the permuted
+// rhs, back substitution — operation for operation, so it reproduces a
+// Mat-based solve of the same system bit for bit. Used by the LOESS
+// normal-equation solves (scalar and batch), which therefore allocate
+// nothing per point.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <utility>
 
-#include "math/matrix.hpp"
+#include "math/singular_matrix_error.hpp"
 
 namespace rge::math::detail {
 
@@ -20,7 +20,8 @@ inline constexpr std::size_t kMaxSmallSolve = 4;
 
 /// LU-factor an n x n row-major `a` in place (partial pivoting; L unit
 /// diagonal below, U on/above), recording the row permutation. Mirrors
-/// Mat's lu_decompose; throws SingularMatrixError exactly where it would.
+/// the oracle's lu_decompose; throws SingularMatrixError exactly where it
+/// would.
 inline void lu_small(std::size_t n, double* a, std::size_t* perm) {
   for (std::size_t i = 0; i < n; ++i) perm[i] = i;
   for (std::size_t col = 0; col < n; ++col) {
@@ -53,7 +54,7 @@ inline void lu_small(std::size_t n, double* a, std::size_t* perm) {
 
 /// Solve a*x = b for an n x n row-major `a` (n <= kMaxSmallSolve). `a` is
 /// destroyed (overwritten with its LU factors). Throws SingularMatrixError
-/// exactly where Mat::solve would.
+/// exactly where the oracle Mat::solve would.
 inline void solve_small(std::size_t n, double* a, const double* b, double* x) {
   std::size_t perm[kMaxSmallSolve];
   lu_small(n, a, perm);

@@ -14,8 +14,8 @@
 // tests/test_eco_routing_parity suite):
 //   * route(..., use_alt=true) returns bit-identical costs AND identical
 //     paths to route(..., use_alt=false) (plain Dijkstra on the same CSR),
-//     which in turn matches RouteGraph::shortest_path with the matching
-//     cost function.
+//     which in turn matches the std::function Dijkstra oracle
+//     (tests/oracles/dijkstra.hpp) with the matching cost function.
 //   * Tie-breaking is deterministic: on bitwise-equal path cost the lower
 //     original edge index wins at every node, making the returned path a
 //     pure function of (graph, metric) — heap order and landmark pruning
@@ -38,6 +38,7 @@
 #include <limits>
 #include <vector>
 
+#include "emissions/vsp.hpp"
 #include "planning/route_graph.hpp"
 
 namespace rge::planning {
@@ -48,8 +49,9 @@ inline constexpr int kMetricCount = 4;
 const char* metric_name(Metric m);
 
 /// Parameters the per-edge cost tables are derived from, once, at freeze
-/// time. Fuel uses emissions::profile_fuel_gal over the edge's stored
-/// grade profile — the exact computation edge_cost_fuel performs today.
+/// time. Fuel integrates the VSP model over the edge's stored grade
+/// profile and step (emissions::profile_fuel_batch, bit-identical to
+/// emissions::profile_fuel_gal per edge).
 struct CostModel {
   /// Cruise speed for edges that do not carry their own speed_mps.
   double default_speed_mps = 40.0 / 3.6;

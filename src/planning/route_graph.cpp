@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <queue>
 #include <stdexcept>
 
-#include "math/angles.hpp"
 #include "math/rng.hpp"
 
 namespace rge::planning {
@@ -17,13 +14,18 @@ std::size_t RouteGraph::add_edge(Edge edge) {
   if (edge.from >= node_count() || edge.to >= node_count()) {
     throw std::invalid_argument("RouteGraph::add_edge: bad endpoints");
   }
-  if (edge.length_m <= 0.0 || edge.grades.empty() ||
-      edge.grade_step_m <= 0.0) {
+  if (!std::isfinite(edge.length_m) || edge.length_m <= 0.0 ||
+      !std::isfinite(edge.grade_step_m) || edge.grade_step_m <= 0.0 ||
+      edge.grades.empty()) {
     throw std::invalid_argument("RouteGraph::add_edge: bad edge payload");
   }
+  if (!std::all_of(edge.grades.begin(), edge.grades.end(),
+                   [](double g) { return std::isfinite(g); })) {
+    throw std::invalid_argument("RouteGraph::add_edge: non-finite grade");
+  }
   // The stored sample spacing must tile the edge exactly (to fp tolerance):
-  // edge_cost_fuel integrates with grade_step_m, so an inconsistent step
-  // would silently mis-weight every fuel/CO2 cost derived from this edge.
+  // fuel costs integrate with grade_step_m, so an inconsistent step would
+  // silently mis-weight every fuel/CO2 cost derived from this edge.
   const double covered =
       edge.grade_step_m * static_cast<double>(edge.grades.size());
   if (std::abs(covered - edge.length_m) >
@@ -44,85 +46,6 @@ void RouteGraph::add_bidirectional(const Edge& forward) {
   std::reverse(back.grades.begin(), back.grades.end());
   for (double& g : back.grades) g = -g;
   add_edge(std::move(back));
-}
-
-RouteGraph::Route RouteGraph::shortest_path(std::size_t from, std::size_t to,
-                                            const CostFn& cost) const {
-  if (from >= node_count() || to >= node_count()) {
-    throw std::invalid_argument("RouteGraph::shortest_path: bad endpoints");
-  }
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(node_count(), kInf);
-  std::vector<std::size_t> via_edge(node_count(),
-                                    std::numeric_limits<std::size_t>::max());
-
-  using Item = std::pair<double, std::size_t>;  // (distance, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
-  dist[from] = 0.0;
-  queue.emplace(0.0, from);
-
-  while (!queue.empty()) {
-    const auto [d, node] = queue.top();
-    queue.pop();
-    if (d > dist[node]) continue;
-    if (node == to) break;
-    for (const std::size_t ei : adjacency_[node]) {
-      const Edge& e = edges_[ei];
-      const double c = cost(e);
-      if (c < 0.0) {
-        throw std::logic_error("RouteGraph: negative edge cost");
-      }
-      const double nd = d + c;
-      if (nd < dist[e.to]) {
-        dist[e.to] = nd;
-        via_edge[e.to] = ei;
-        queue.emplace(nd, e.to);
-      } else if (nd == dist[e.to] && ei < via_edge[e.to]) {
-        // Deterministic tie-break: on bitwise-equal cost, keep the lowest
-        // incoming edge index. Every genuine tie predecessor settles
-        // strictly before the target (all costs are positive), so the final
-        // via_edge is the arg-min over all equal-cost relaxations no matter
-        // which order the heap served them in.
-        via_edge[e.to] = ei;
-      }
-    }
-  }
-
-  Route route;
-  if (dist[to] == kInf) return route;
-  route.found = true;
-  route.cost = dist[to];
-  // Backtrack.
-  std::size_t node = to;
-  while (node != from) {
-    const std::size_t ei = via_edge[node];
-    route.edges.push_back(ei);
-    route.nodes.push_back(node);
-    route.length_m += edges_[ei].length_m;
-    node = edges_[ei].from;
-  }
-  route.nodes.push_back(from);
-  std::reverse(route.nodes.begin(), route.nodes.end());
-  std::reverse(route.edges.begin(), route.edges.end());
-  return route;
-}
-
-double edge_cost_distance(const Edge& e) { return e.length_m; }
-
-double edge_cost_time(const Edge& e, double speed_mps) {
-  if (speed_mps <= 0.0) {
-    throw std::invalid_argument("edge_cost_time: speed must be > 0");
-  }
-  return e.length_m / speed_mps;
-}
-
-double edge_cost_fuel(const Edge& e, double speed_mps,
-                      const emissions::VspParams& vsp) {
-  if (speed_mps <= 0.0) {
-    throw std::invalid_argument("edge_cost_fuel: speed must be > 0");
-  }
-  return emissions::profile_fuel_gal(e.grades, e.grade_step_m, speed_mps,
-                                     vsp);
 }
 
 RouteGraph make_grid_city(std::size_t rows, std::size_t cols, double block_m,

@@ -3,17 +3,17 @@
 // planning ... especially for the roads with large road gradient").
 //
 // Nodes are intersections; directed edges carry a length and a gradient
-// profile (from the estimation pipeline or ground truth). Edge costs are
-// pluggable: distance, travel time, or VSP fuel with gradients. Shortest
-// paths via Dijkstra.
+// profile (from the estimation pipeline or ground truth). RouteGraph only
+// builds and validates the network; planning::CsrGraph freezes it into
+// per-metric cost tables and answers route queries. The std::function
+// Dijkstra CsrGraph is checked against lives in
+// tests/oracles/dijkstra.hpp.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "emissions/vsp.hpp"
 #include "road/network.hpp"
 
 namespace rge::planning {
@@ -46,7 +46,9 @@ class RouteGraph {
   std::size_t edge_count() const { return edges_.size(); }
 
   /// Add a directed edge; returns its index.
-  /// @throws std::invalid_argument on bad endpoints or empty profiles.
+  /// @throws std::invalid_argument on bad endpoints, an empty profile, a
+  /// non-finite or non-positive length or step, a non-finite grade
+  /// sample, or a step that does not tile the length.
   std::size_t add_edge(Edge edge);
   /// Add both directions with mirrored (negated, reversed) gradients.
   void add_bidirectional(const Edge& forward);
@@ -56,9 +58,7 @@ class RouteGraph {
     return adjacency_.at(node);
   }
 
-  /// Edge cost function: maps an edge to a nonnegative cost.
-  using CostFn = std::function<double(const Edge&)>;
-
+  /// A route query result (CsrGraph::route).
   struct Route {
     std::vector<std::size_t> nodes;
     std::vector<std::size_t> edges;
@@ -67,30 +67,10 @@ class RouteGraph {
     bool found = false;
   };
 
-  /// Dijkstra shortest path under the given cost. Tie-breaking is
-  /// deterministic: when two incoming relaxations of a node have bitwise
-  /// equal cost, the lower edge index wins, so the returned path is a pure
-  /// function of the graph and cost — independent of heap pop order and
-  /// therefore reproducible across platforms and libstdc++ versions.
-  /// @throws std::invalid_argument on out-of-range endpoints.
-  Route shortest_path(std::size_t from, std::size_t to,
-                      const CostFn& cost) const;
-
  private:
   std::vector<Edge> edges_;
   std::vector<std::vector<std::size_t>> adjacency_;
 };
-
-/// Cost functions.
-double edge_cost_distance(const Edge& e);
-/// Travel time at a constant cruise speed (s).
-double edge_cost_time(const Edge& e, double speed_mps);
-/// VSP fuel (gallons) at a constant cruise speed, integrating the edge's
-/// grade profile with the stored `grade_step_m` sample spacing (the step
-/// add_edge validated against length_m — not a step re-derived from the
-/// sample count, which silently diverged when they disagreed).
-double edge_cost_fuel(const Edge& e, double speed_mps,
-                      const emissions::VspParams& vsp = {});
 
 /// Synthetic grid city: rows x cols intersections, ~block_m apart, every
 /// street segment an edge pair with a seeded random gradient profile

@@ -3,6 +3,7 @@
 #include "baselines/ann_grade.hpp"
 #include "baselines/ekf_altitude.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "core/evaluation.hpp"
 #include "core/pipeline.hpp"
 #include "math/angles.hpp"
+#include "oracles/kalman.hpp"
 #include "road/network.hpp"
 #include "sensors/smartphone.hpp"
 #include "vehicle/trip.hpp"
@@ -52,6 +54,94 @@ TEST(AltitudeEkf, EmptyTraceThrows) {
   EXPECT_THROW(
       run_altitude_ekf(sensors::SensorTrace{}, vehicle::VehicleParams{}),
       std::invalid_argument);
+}
+
+/// run_altitude_ekf's [z, v, theta] model driven through the dynamic
+/// std::function EKF oracle, recording the same samples.
+core::GradeTrack altitude_ekf_oracle(const sensors::SensorTrace& trace,
+                                     const vehicle::VehicleParams& params,
+                                     const AltitudeEkfConfig& cfg) {
+  using oracles::Mat;
+  using oracles::Vec;
+  const double z0 =
+      trace.barometer_alt.empty() ? 0.0 : trace.barometer_alt.front().value;
+  const double v0 =
+      trace.speedometer.empty() ? 0.0 : trace.speedometer.front().value;
+  oracles::ExtendedKalmanFilter ekf(
+      Vec{z0, v0, 0.0}, Mat::diag(Vec{cfg.initial_alt_var,
+                                      cfg.initial_speed_var,
+                                      cfg.initial_grade_var}));
+  const auto baro_model = oracles::linear_measurement(
+      Mat{{1.0, 0.0, 0.0}}, Mat{{cfg.baro_variance}});
+  const auto vel_model = oracles::linear_measurement(
+      Mat{{0.0, 1.0, 0.0}}, Mat{{cfg.velocity_variance}});
+
+  core::GradeTrack track;
+  std::size_t baro_idx = 0;
+  std::size_t spd_idx = 0;
+  double odometry = 0.0;
+  const std::size_t decim = std::max<std::size_t>(1, cfg.record_decimation);
+  const double g = params.gravity;
+  double prev_t = trace.imu.front().t;
+  for (std::size_t i = 0; i < trace.imu.size(); ++i) {
+    const auto& s = trace.imu[i];
+    const double dt = std::max(0.0, s.t - prev_t);
+    prev_t = s.t;
+    if (dt > 0.0) {
+      oracles::ProcessModel model;
+      const double a_hat = s.accel_forward;
+      model.f = [dt, a_hat, g](const Vec& x, const Vec&) {
+        return Vec{x[0] + x[1] * std::sin(x[2]) * dt,
+                   std::max(0.0, x[1] + (a_hat - g * std::sin(x[2])) * dt),
+                   x[2]};
+      };
+      model.jacobian = [dt, g](const Vec& x, const Vec&) {
+        Mat f_jac = Mat::identity(3);
+        f_jac(0, 1) = std::sin(x[2]) * dt;
+        f_jac(0, 2) = x[1] * std::cos(x[2]) * dt;
+        f_jac(1, 2) = -g * std::cos(x[2]) * dt;
+        return f_jac;
+      };
+      model.q = Mat::diag(
+          Vec{cfg.altitude_process_sigma * cfg.altitude_process_sigma * dt,
+              cfg.accel_sigma * cfg.accel_sigma * dt * dt,
+              cfg.grade_process_psd * dt});
+      ekf.predict(model, Vec{});
+      odometry += ekf.state()[1] * dt;
+    }
+    while (baro_idx < trace.barometer_alt.size() &&
+           trace.barometer_alt[baro_idx].t <= s.t) {
+      ekf.update(baro_model, Vec{trace.barometer_alt[baro_idx].value});
+      ++baro_idx;
+    }
+    while (spd_idx < trace.speedometer.size() &&
+           trace.speedometer[spd_idx].t <= s.t) {
+      ekf.update(vel_model, Vec{trace.speedometer[spd_idx].value});
+      ++spd_idx;
+    }
+    if (i % decim == 0) {
+      track.t.push_back(s.t);
+      track.grade.push_back(ekf.state()[2]);
+      track.grade_var.push_back(ekf.covariance()(2, 2));
+      track.speed.push_back(ekf.state()[1]);
+      track.s.push_back(odometry);
+    }
+  }
+  return track;
+}
+
+TEST(AltitudeEkf, MatchesGenericEkfBitExact) {
+  const Scenario sc = make_scenario(road::make_table3_route(2019), 7);
+  const vehicle::VehicleParams params;
+  const AltitudeEkfConfig cfg;
+  const auto fixed = run_altitude_ekf(sc.trace, params, cfg);
+  const auto oracle = altitude_ekf_oracle(sc.trace, params, cfg);
+  ASSERT_GT(fixed.size(), 1000u);
+  EXPECT_EQ(fixed.t, oracle.t);
+  EXPECT_EQ(fixed.grade, oracle.grade);
+  EXPECT_EQ(fixed.grade_var, oracle.grade_var);
+  EXPECT_EQ(fixed.speed, oracle.speed);
+  EXPECT_EQ(fixed.s, oracle.s);
 }
 
 TEST(AltitudeEkf, RecoversGradeShape) {

@@ -1,7 +1,7 @@
 // Unit tests for the frozen CSR routing graph and the ALT query layer:
 // cost-table exactness vs the pluggable cost functions, bit-identical
-// cost/path parity between plain Dijkstra, ALT, and the legacy
-// RouteGraph::shortest_path, deterministic tie-breaking, potential
+// cost/path parity between plain Dijkstra, ALT, and the std::function
+// Dijkstra oracle, deterministic tie-breaking, potential
 // admissibility, and thread-safety of concurrent queries over one shared
 // graph (the CsrGraphConcurrency suite runs under the tsan-runtime preset).
 #include "planning/csr_graph.hpp"
@@ -15,6 +15,7 @@
 #include "emissions/emissions.hpp"
 #include "math/angles.hpp"
 #include "math/rng.hpp"
+#include "oracles/dijkstra.hpp"
 #include "planning/city_gen.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -22,6 +23,11 @@ namespace rge::planning {
 namespace {
 
 using math::deg2rad;
+using oracles::edge_cost_distance;
+using oracles::edge_cost_fuel;
+using oracles::edge_cost_time;
+using oracles::metric_cost;
+using oracles::shortest_path;
 
 Edge make_edge(std::size_t from, std::size_t to, double length,
                double grade = 0.0) {
@@ -38,21 +44,6 @@ Edge make_edge(std::size_t from, std::size_t to, double length,
 
 constexpr Metric kAllMetrics[] = {Metric::kDistance, Metric::kTime,
                                   Metric::kFuel, Metric::kCo2};
-
-RouteGraph::CostFn legacy_cost(Metric m, const CostModel& model) {
-  return [m, model](const Edge& e) {
-    const double speed =
-        e.speed_mps > 0.0 ? e.speed_mps : model.default_speed_mps;
-    switch (m) {
-      case Metric::kDistance: return edge_cost_distance(e);
-      case Metric::kTime: return edge_cost_time(e, speed);
-      case Metric::kFuel: return edge_cost_fuel(e, speed, model.vsp);
-      case Metric::kCo2:
-        return edge_cost_fuel(e, speed, model.vsp) * model.co2_g_per_gal;
-    }
-    return 0.0;
-  };
-}
 
 void expect_identical(const RouteGraph::Route& a, const RouteGraph::Route& b,
                       const char* what) {
@@ -115,7 +106,7 @@ TEST(CsrGraph, MatchesLegacyShortestPathOnGridCity) {
     const auto to = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(g.node_count()) - 1));
     for (const Metric m : kAllMetrics) {
-      const auto legacy = g.shortest_path(from, to, legacy_cost(m, model));
+      const auto legacy = shortest_path(g, from, to, metric_cost(m, model));
       const auto dij = csr.route(from, to, m, ctx, /*use_alt=*/false);
       const auto alt = csr.route(from, to, m, ctx, /*use_alt=*/true);
       expect_identical(legacy, dij, metric_name(m));
@@ -135,7 +126,7 @@ TEST(CsrGraph, DeterministicTieBreakPrefersLowerEdgeIndex) {
   const CsrGraph csr(g);
   QueryContext ctx;
   for (const Metric m : kAllMetrics) {
-    const auto legacy = g.shortest_path(0, 3, legacy_cost(m, CostModel{}));
+    const auto legacy = shortest_path(g, 0, 3, metric_cost(m, CostModel{}));
     const auto dij = csr.route(0, 3, m, ctx, false);
     const auto alt = csr.route(0, 3, m, ctx, true);
     ASSERT_TRUE(alt.found);
@@ -152,7 +143,7 @@ TEST(CsrGraph, ManyEqualPathsStillDeterministic) {
   const CsrGraph csr(g);
   QueryContext ctx;
   const auto legacy =
-      g.shortest_path(2, 22, legacy_cost(Metric::kDistance, CostModel{}));
+      shortest_path(g, 2, 22, metric_cost(Metric::kDistance, CostModel{}));
   const auto dij = csr.route(2, 22, Metric::kDistance, ctx, false);
   const auto alt = csr.route(2, 22, Metric::kDistance, ctx, true);
   expect_identical(legacy, dij, "distance");
@@ -226,7 +217,7 @@ TEST(CsrGraph, ZeroLandmarksDegradesToDijkstra) {
   QueryContext ctx;
   const auto r = csr.route(0, 24, Metric::kFuel, ctx, true);
   const auto legacy =
-      g.shortest_path(0, 24, legacy_cost(Metric::kFuel, CostModel{}));
+      shortest_path(g, 0, 24, metric_cost(Metric::kFuel, CostModel{}));
   expect_identical(legacy, r, "fuel");
 }
 

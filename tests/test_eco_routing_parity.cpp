@@ -3,7 +3,7 @@
 // network stitched from *fused* (pipeline-estimated) grade profiles — ALT
 // queries must return bit-identical costs and identical paths to plain
 // CSR Dijkstra for 1000+ random origin/destination pairs under every cost
-// metric, and both must match the legacy RouteGraph::shortest_path on a
+// metric, and both must match the std::function Dijkstra oracle on a
 // spot-check subset.
 #include <cstdint>
 #include <vector>
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "math/rng.hpp"
+#include "oracles/dijkstra.hpp"
 #include "planning/city_gen.hpp"
 #include "planning/csr_graph.hpp"
 #include "road/network.hpp"
@@ -61,18 +62,8 @@ void check_parity(const RouteGraph& g, std::uint64_t pair_seed,
       expect_identical(dij, alt, metric_name(m), from, to);
       if (dij.found) ++found;
       if (i % legacy_every == 0) {
-        const auto legacy = g.shortest_path(from, to, [&](const Edge& e) {
-          const double speed =
-              e.speed_mps > 0.0 ? e.speed_mps : model.default_speed_mps;
-          switch (m) {
-            case Metric::kDistance: return edge_cost_distance(e);
-            case Metric::kTime: return edge_cost_time(e, speed);
-            case Metric::kFuel: return edge_cost_fuel(e, speed, model.vsp);
-            case Metric::kCo2:
-              return edge_cost_fuel(e, speed, model.vsp) * model.co2_g_per_gal;
-          }
-          return 0.0;
-        });
+        const auto legacy =
+            oracles::shortest_path(g, from, to, oracles::metric_cost(m, model));
         expect_identical(legacy, dij, metric_name(m), from, to);
       }
     }

@@ -1,8 +1,8 @@
 // Perf-tier budgets for network-scale eco-routing (ctest -L perf):
 //
 //   * an ALT fuel query over the ~10.9k-edge OSM-like city must beat the
-//     legacy RouteGraph::shortest_path (std::function cost, per-edge VSP
-//     re-integration) by >= 10x on mean latency;
+//     std::function Dijkstra oracle (per-edge VSP re-integration, O(n)
+//     allocation per query) by >= 10x on mean latency;
 //   * warm ALT fuel queries must stay sub-millisecond at p99.
 //
 // Budgets are relaxed under sanitizers (>= 3x, p99 <= 15 ms), whose
@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "math/rng.hpp"
+#include "oracles/dijkstra.hpp"
 #include "planning/city_gen.hpp"
 #include "planning/csr_graph.hpp"
 
@@ -68,20 +69,20 @@ TEST(EcoRoutingPerf, AltBeatsLegacyDijkstraAndStaysSubMillisecond) {
                        static_cast<std::size_t>(rng.uniform_int(0, hi)));
   }
 
-  const auto legacy_cost = [&model](const Edge& e) {
-    const double speed =
-        e.speed_mps > 0.0 ? e.speed_mps : model.default_speed_mps;
-    return edge_cost_fuel(e, speed, model.vsp);
-  };
+  const oracles::CostFn legacy_cost =
+      oracles::metric_cost(Metric::kFuel, model);
 
   // Legacy baseline on a subset (it is the slow side by design).
   const std::size_t legacy_n = kSanitized ? 8 : 24;
   double checksum = 0.0;
-  (void)g.shortest_path(pairs[0].first, pairs[0].second, legacy_cost);  // warm
+  (void)oracles::shortest_path(g, pairs[0].first, pairs[0].second,
+                               legacy_cost);  // warm
   const auto t_legacy = Clock::now();
   for (std::size_t i = 0; i < legacy_n; ++i) {
     checksum +=
-        g.shortest_path(pairs[i].first, pairs[i].second, legacy_cost).cost;
+        oracles::shortest_path(g, pairs[i].first, pairs[i].second,
+                               legacy_cost)
+            .cost;
   }
   const double legacy_mean_ms =
       ms_since(t_legacy) / static_cast<double>(legacy_n);

@@ -5,7 +5,7 @@
 //  * FusionAccumulator::snapshot() on the overlap grid is bit-identical
 //    to fuse_tracks_distance on the same tracks;
 //  * the cursor-based fuse_tracks_{distance,time} are bit-identical to
-//    the kept *_reference implementations (per-sample binary search) on
+//    the *_reference oracles (per-sample binary search) on
 //    synthetic tracks AND on every scenario of the regression matrix;
 //  * add_tracks_parallel is bit-reproducible across 1/2/8-thread pools;
 //  * partial coverage, merge mismatch, and batch parity behave as
@@ -18,12 +18,16 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/track_fusion.hpp"
 #include "runtime/thread_pool.hpp"
 #include "testing/fault_injection.hpp"
 #include "testing/scenario.hpp"
 
 namespace rge::core {
 namespace {
+
+using oracles::fuse_tracks_distance_reference;
+using oracles::fuse_tracks_time_reference;
 
 /// Deterministic synthetic gradient track covering s in [s0, s1].
 GradeTrack synth_track(std::uint32_t id, double s0, double s1,

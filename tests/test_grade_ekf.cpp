@@ -8,6 +8,7 @@
 
 #include "math/angles.hpp"
 #include "math/rng.hpp"
+#include "oracles/kalman.hpp"
 
 namespace rge::core {
 namespace {
@@ -230,31 +231,30 @@ TEST(GradeEkf, NisIsStatisticallyConsistent) {
   std::size_t m_idx = 0;
   double nis_sum = 0.0;
   std::size_t nis_n = 0;
-  math::ExtendedKalmanFilter raw(
-      math::Vec{d.meas.front().v, 0.0},
-      math::Mat{{cfg.initial_speed_var, 0.0}, {0.0, cfg.initial_grade_var}});
+  oracles::ExtendedKalmanFilter raw(
+      oracles::Vec{d.meas.front().v, 0.0},
+      oracles::Mat{{cfg.initial_speed_var, 0.0},
+                   {0.0, cfg.initial_grade_var}});
   const double g = 9.80665;
   for (std::size_t i = 1; i < d.t.size(); ++i) {
     const double dt = d.t[i] - d.t[i - 1];
     const double f_hat = d.f[i];
-    math::ProcessModel model;
-    model.f = [=](const math::Vec& x, const math::Vec&) {
-      return math::Vec{x[0] + (f_hat - g * std::sin(x[1])) * dt, x[1]};
+    oracles::ProcessModel model;
+    model.f = [=](const oracles::Vec& x, const oracles::Vec&) {
+      return oracles::Vec{x[0] + (f_hat - g * std::sin(x[1])) * dt, x[1]};
     };
-    model.jacobian = [=](const math::Vec& x, const math::Vec&) {
-      math::Mat j = math::Mat::identity(2);
+    model.jacobian = [=](const oracles::Vec& x, const oracles::Vec&) {
+      oracles::Mat j = oracles::Mat::identity(2);
       j(0, 1) = -g * std::cos(x[1]) * dt;
       return j;
     };
     const double qv = cfg.accel_sigma * cfg.accel_sigma * dt * dt;
-    model.q = math::Mat{{qv, 0.0}, {0.0, cfg.grade_process_psd * dt}};
-    raw.predict(model, math::Vec{});
+    model.q = oracles::Mat{{qv, 0.0}, {0.0, cfg.grade_process_psd * dt}};
+    raw.predict(model, oracles::Vec{});
     while (m_idx < d.meas.size() && d.meas[m_idx].t <= d.t[i]) {
-      math::MeasurementModel mm;
-      mm.h = [](const math::Vec& x) { return math::Vec{x[0]}; };
-      mm.jacobian = [](const math::Vec&) { return math::Mat{{1.0, 0.0}}; };
-      mm.r = math::Mat{{d.meas[m_idx].variance}};
-      const auto res = raw.update(mm, math::Vec{d.meas[m_idx].v});
+      const auto mm = oracles::linear_measurement(
+          oracles::Mat{{1.0, 0.0}}, oracles::Mat{{d.meas[m_idx].variance}});
+      const auto res = raw.update(mm, oracles::Vec{d.meas[m_idx].v});
       if (d.t[i] > 20.0) {  // after convergence
         nis_sum += res.nis;
         ++nis_n;
@@ -370,7 +370,7 @@ INSTANTIATE_TEST_SUITE_P(Grades, GradeRecovery,
 // ---- bit-exactness vs. the generic EKF --------------------------------
 // GradeEkf is a hand-unrolled 2-state specialization (zero allocations per
 // step for the online hot path). This test drives it and the generic
-// math::ExtendedKalmanFilter — with the exact process/measurement model
+// oracles::ExtendedKalmanFilter — with the exact process/measurement model
 // the pre-specialization implementation used — through a long randomized
 // predict/update sequence and requires every state and covariance entry
 // to match bit-for-bit.
@@ -384,9 +384,9 @@ class GenericGradeEkf {
                   double initial_grade)
       : params_(params),
         cfg_(cfg),
-        ekf_(math::Vec{initial_speed, initial_grade},
-             math::Mat{{cfg.initial_speed_var, 0.0},
-                       {0.0, cfg.initial_grade_var}}) {}
+        ekf_(oracles::Vec{initial_speed, initial_grade},
+             oracles::Mat{{cfg.initial_speed_var, 0.0},
+                          {0.0, cfg.initial_grade_var}}) {}
 
   void predict(double specific_force, double dt) {
     if (dt <= 0.0) return;
@@ -395,8 +395,8 @@ class GenericGradeEkf {
     const bool drift = cfg_.use_paper_drift_term;
     constexpr double kMaxGradeRad = 0.35;
 
-    math::ProcessModel model;
-    model.f = [=](const math::Vec& x, const math::Vec& u) {
+    oracles::ProcessModel model;
+    model.f = [=](const oracles::Vec& x, const oracles::Vec& u) {
       const double v = x[0];
       const double theta = x[1];
       const double f_hat = u[0];
@@ -407,14 +407,14 @@ class GenericGradeEkf {
         theta_next += c * v * f_hat * dt / (g * std::cos(theta));
       }
       theta_next = std::clamp(theta_next, -kMaxGradeRad, kMaxGradeRad);
-      return math::Vec{v_next, theta_next};
+      return oracles::Vec{v_next, theta_next};
     };
-    model.jacobian = [=](const math::Vec& x, const math::Vec& u) {
+    model.jacobian = [=](const oracles::Vec& x, const oracles::Vec& u) {
       const double v = x[0];
       const double theta = x[1];
       const double f_hat = u[0];
       const double cth = std::cos(theta);
-      math::Mat f_jac = math::Mat::identity(2);
+      oracles::Mat f_jac = oracles::Mat::identity(2);
       f_jac(0, 1) = -g * cth * dt;
       if (drift) {
         f_jac(1, 0) = c * f_hat * dt / (g * cth);
@@ -424,16 +424,14 @@ class GenericGradeEkf {
       return f_jac;
     };
     const double qv = cfg_.accel_sigma * cfg_.accel_sigma * dt * dt;
-    model.q = math::Mat{{qv, 0.0}, {0.0, cfg_.grade_process_psd * dt}};
-    ekf_.predict(model, math::Vec{specific_force});
+    model.q = oracles::Mat{{qv, 0.0}, {0.0, cfg_.grade_process_psd * dt}};
+    ekf_.predict(model, oracles::Vec{specific_force});
   }
 
   bool update_velocity(double v_meas, double variance) {
-    math::MeasurementModel model;
-    model.h = [](const math::Vec& x) { return math::Vec{x[0]}; };
-    model.jacobian = [](const math::Vec&) { return math::Mat{{1.0, 0.0}}; };
-    model.r = math::Mat{{variance}};
-    return ekf_.update(model, math::Vec{v_meas}, cfg_.gate_nis).accepted;
+    const auto model = oracles::linear_measurement(oracles::Mat{{1.0, 0.0}},
+                                                   oracles::Mat{{variance}});
+    return ekf_.update(model, oracles::Vec{v_meas}, cfg_.gate_nis).accepted;
   }
 
   double speed() const { return ekf_.state()[0]; }
@@ -446,7 +444,7 @@ class GenericGradeEkf {
  private:
   vehicle::VehicleParams params_;
   GradeEkfConfig cfg_;
-  math::ExtendedKalmanFilter ekf_;
+  oracles::ExtendedKalmanFilter ekf_;
 };
 
 TEST(GradeEkf, MatchesGenericEkfBitExact) {

@@ -1,5 +1,5 @@
-// Unit tests for the generic Extended Kalman Filter.
-#include "math/kalman.hpp"
+// Unit tests for the generic Extended Kalman Filter oracle.
+#include "oracles/kalman.hpp"
 
 #include <cmath>
 
@@ -7,8 +7,10 @@
 
 #include "math/rng.hpp"
 
-namespace rge::math {
+namespace rge::oracles {
 namespace {
+
+using math::Rng;
 
 // Simple 1-D constant state with noisy measurements.
 ProcessModel constant_process(double q) {
@@ -22,18 +24,11 @@ ProcessModel constant_process(double q) {
 }
 
 MeasurementModel direct_measurement(double r) {
-  MeasurementModel m;
-  m.h = [](const Vec& x) { return Vec{x[0]}; };
-  m.jacobian = [](const Vec&) { return Mat{{1.0}}; };
-  m.r = Mat{{r}};
-  return m;
+  return linear_measurement(Mat{{1.0}}, Mat{{r}});
 }
 
 TEST(Ekf, ConstructionValidation) {
   EXPECT_THROW(ExtendedKalmanFilter(Vec{1.0, 2.0}, Mat::identity(3)),
-               std::invalid_argument);
-  ExtendedKalmanFilter f(Vec{1.0}, Mat{{2.0}});
-  EXPECT_THROW(f.set_state(Vec{1.0, 2.0}, Mat{{1.0}}),
                std::invalid_argument);
 }
 
@@ -125,10 +120,7 @@ TEST(Ekf, TwoStateCoupling) {
     return Mat{{1.0, dt}, {0.0, 1.0}};
   };
   proc.q = Mat{{1e-6, 0.0}, {0.0, 1e-6}};
-  MeasurementModel meas;
-  meas.h = [](const Vec& x) { return Vec{x[0]}; };
-  meas.jacobian = [](const Vec&) { return Mat{{1.0, 0.0}}; };
-  meas.r = Mat{{0.01}};
+  const auto meas = linear_measurement(Mat{{1.0, 0.0}}, Mat{{0.01}});
 
   ExtendedKalmanFilter f(Vec{0.0, 0.0}, Mat::diag(Vec{1.0, 4.0}));
   Rng rng(9);
@@ -167,10 +159,7 @@ TEST(Ekf, CovarianceStaysSymmetric) {
     return Mat{{1.0, 0.1}, {0.0, 1.0}};
   };
   proc.q = Mat::diag(Vec{0.01, 0.01});
-  MeasurementModel meas;
-  meas.h = [](const Vec& x) { return Vec{x[0]}; };
-  meas.jacobian = [](const Vec&) { return Mat{{1.0, 0.0}}; };
-  meas.r = Mat{{0.5}};
+  const auto meas = linear_measurement(Mat{{1.0, 0.0}}, Mat{{0.5}});
   Rng rng(2);
   for (int i = 0; i < 100; ++i) {
     f.predict(proc, Vec{});
@@ -183,4 +172,4 @@ TEST(Ekf, CovarianceStaysSymmetric) {
 }
 
 }  // namespace
-}  // namespace rge::math
+}  // namespace rge::oracles

@@ -1,5 +1,5 @@
 // Fixed-dimension matrix/EKF parity: MatN/VecN/EkfN must be operation-
-// for-operation mirrors of the dynamic math::Mat / ExtendedKalmanFilter,
+// for-operation mirrors of the dynamic oracle Mat / ExtendedKalmanFilter,
 // so every result here is asserted bit-identical (==, not near) — the
 // compile-time types are drop-in replacements on the hot paths, not
 // approximations.
@@ -10,12 +10,19 @@
 
 #include <gtest/gtest.h>
 
-#include "math/kalman.hpp"
-#include "math/matrix.hpp"
 #include "math/rng.hpp"
+#include "oracles/kalman.hpp"
+#include "oracles/matrix.hpp"
 
 namespace rge::math {
 namespace {
+
+using oracles::ExtendedKalmanFilter;
+using oracles::Mat;
+using oracles::MeasurementModel;
+using oracles::ProcessModel;
+using oracles::UpdateResult;
+using oracles::Vec;
 
 template <std::size_t R, std::size_t C>
 Mat to_dyn(const MatN<R, C>& a) {
@@ -177,10 +184,7 @@ TEST(EkfN, PredictUpdateMatchesDynamicFilterBitExact) {
   process.f = [&](const Vec& x, const Vec&) { return f_dyn * x; };
   process.jacobian = [&](const Vec&, const Vec&) { return f_dyn; };
   process.q = q_dyn;
-  MeasurementModel meas;
-  meas.h = [&](const Vec& x) { return Vec{x[0]}; };
-  meas.jacobian = [&](const Vec&) { return h_dyn; };
-  meas.r = r_dyn;
+  const MeasurementModel meas = oracles::linear_measurement(h_dyn, r_dyn);
 
   Rng rng(17);
   const double gate = 9.0;

@@ -1,5 +1,5 @@
-// Unit tests for the dense matrix/vector algebra.
-#include "math/matrix.hpp"
+// Unit tests for the dense matrix/vector algebra oracle.
+#include "oracles/matrix.hpp"
 
 #include <cmath>
 
@@ -7,8 +7,10 @@
 
 #include "math/rng.hpp"
 
-namespace rge::math {
+namespace rge::oracles {
 namespace {
+
+using math::Rng;
 
 TEST(Vec, ConstructionAndAccess) {
   Vec v(3, 2.0);
@@ -16,8 +18,6 @@ TEST(Vec, ConstructionAndAccess) {
   EXPECT_DOUBLE_EQ(v[0], 2.0);
   Vec w{1.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(w[2], 3.0);
-  EXPECT_TRUE(Vec().empty());
-  EXPECT_THROW(w.at(3), std::out_of_range);
 }
 
 TEST(Vec, Arithmetic) {
@@ -25,12 +25,7 @@ TEST(Vec, Arithmetic) {
   const Vec b{3.0, -1.0};
   EXPECT_EQ(a + b, (Vec{4.0, 1.0}));
   EXPECT_EQ(a - b, (Vec{-2.0, 3.0}));
-  EXPECT_EQ(a * 2.0, (Vec{2.0, 4.0}));
-  EXPECT_EQ(2.0 * a, (Vec{2.0, 4.0}));
-  EXPECT_EQ(a / 2.0, (Vec{0.5, 1.0}));
-  EXPECT_EQ(-a, (Vec{-1.0, -2.0}));
   EXPECT_DOUBLE_EQ(a.dot(b), 1.0);
-  EXPECT_DOUBLE_EQ((Vec{3.0, 4.0}).norm(), 5.0);
   EXPECT_DOUBLE_EQ((Vec{-3.0, 2.0}).inf_norm(), 3.0);
 }
 
@@ -49,7 +44,6 @@ TEST(Mat, ConstructionAndShape) {
   EXPECT_FALSE(m.square());
   EXPECT_DOUBLE_EQ(m(2, 1), 6.0);
   EXPECT_THROW(Mat({{1.0, 2.0}, {3.0}}), std::invalid_argument);
-  EXPECT_THROW(m.at(3, 0), std::out_of_range);
 }
 
 TEST(Mat, IdentityDiagColumnRow) {
@@ -59,8 +53,6 @@ TEST(Mat, IdentityDiagColumnRow) {
   const Mat d = Mat::diag(Vec{2.0, 3.0});
   EXPECT_DOUBLE_EQ(d(1, 1), 3.0);
   EXPECT_DOUBLE_EQ(d(0, 1), 0.0);
-  EXPECT_EQ(Mat::column(Vec{1.0, 2.0}).rows(), 2u);
-  EXPECT_EQ(Mat::row(Vec{1.0, 2.0}).cols(), 2u);
 }
 
 TEST(Mat, Multiply) {
@@ -81,9 +73,6 @@ TEST(Mat, TransposeTraceNorm) {
   const Mat at = a.transpose();
   EXPECT_EQ(at.rows(), 3u);
   EXPECT_DOUBLE_EQ(at(2, 1), 6.0);
-  EXPECT_DOUBLE_EQ((Mat{{1.0, 9.0}, {0.0, 2.0}}).trace(), 3.0);
-  EXPECT_THROW(a.trace(), std::invalid_argument);
-  EXPECT_DOUBLE_EQ((Mat{{3.0, 0.0}, {0.0, 4.0}}).norm(), 5.0);
 }
 
 TEST(Mat, InverseKnown) {
@@ -99,14 +88,6 @@ TEST(Mat, InverseKnown) {
 TEST(Mat, SingularInverseThrows) {
   const Mat s{{1.0, 2.0}, {2.0, 4.0}};
   EXPECT_THROW(s.inverse(), SingularMatrixError);
-  EXPECT_DOUBLE_EQ(s.determinant(), 0.0);
-}
-
-TEST(Mat, DeterminantKnown) {
-  EXPECT_DOUBLE_EQ((Mat{{2.0}}).determinant(), 2.0);
-  EXPECT_DOUBLE_EQ((Mat{{1.0, 2.0}, {3.0, 4.0}}).determinant(), -2.0);
-  const Mat a{{6.0, 1.0, 1.0}, {4.0, -2.0, 5.0}, {2.0, 8.0, 7.0}};
-  EXPECT_NEAR(a.determinant(), -306.0, 1e-9);
 }
 
 TEST(Mat, CholeskyKnown) {
@@ -129,13 +110,6 @@ TEST(Mat, SolveKnown) {
                SingularMatrixError);
 }
 
-TEST(Mat, SolveMatrixRhs) {
-  const Mat a{{2.0, 0.0}, {0.0, 4.0}};
-  const Mat x = a.solve(Mat{{2.0, 4.0}, {8.0, 12.0}});
-  EXPECT_NEAR(x(0, 0), 1.0, 1e-12);
-  EXPECT_NEAR(x(1, 1), 3.0, 1e-12);
-}
-
 TEST(Mat, Symmetrize) {
   Mat a{{1.0, 2.0}, {4.0, 1.0}};
   a.symmetrize();
@@ -144,9 +118,6 @@ TEST(Mat, Symmetrize) {
 }
 
 TEST(Mat, OuterAndQuadraticForm) {
-  const Mat o = outer(Vec{1.0, 2.0}, Vec{3.0, 4.0});
-  EXPECT_DOUBLE_EQ(o(1, 0), 6.0);
-  EXPECT_DOUBLE_EQ(o(0, 1), 4.0);
   const Mat a{{2.0, 0.0}, {0.0, 3.0}};
   EXPECT_DOUBLE_EQ(quadratic_form(a, Vec{1.0, 2.0}), 14.0);
 }
@@ -197,15 +168,10 @@ TEST_P(MatrixRandomTest, CholeskyOfGramMatrix) {
   for (std::size_t i = 0; i < n; ++i) spd(i, i) += 0.5;
   const Mat l = spd.cholesky();
   EXPECT_TRUE((l * l.transpose()).approx_equal(spd, 1e-9));
-  // Determinant from Cholesky: det = prod(l_ii)^2.
-  double det_chol = 1.0;
-  for (std::size_t i = 0; i < n; ++i) det_chol *= l(i, i);
-  det_chol *= det_chol;
-  EXPECT_NEAR(spd.determinant() / det_chol, 1.0, 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MatrixRandomTest,
                          ::testing::Values(1, 2, 3, 4, 6, 8, 12));
 
 }  // namespace
-}  // namespace rge::math
+}  // namespace rge::oracles

@@ -1,18 +1,25 @@
-// Unit tests for the routing graph and gradient-aware edge costs.
+// Unit tests for the routing graph builder, and for the gradient-aware
+// edge costs and Dijkstra of the routing oracle.
 #include "planning/route_graph.hpp"
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "math/angles.hpp"
+#include "oracles/dijkstra.hpp"
 #include "planning/city_gen.hpp"
 
 namespace rge::planning {
 namespace {
 
 using math::deg2rad;
+using oracles::edge_cost_distance;
+using oracles::edge_cost_fuel;
+using oracles::edge_cost_time;
+using oracles::shortest_path;
 
 Edge make_edge(std::size_t from, std::size_t to, double length,
                double grade = 0.0) {
@@ -39,6 +46,29 @@ TEST(RouteGraph, AddEdgeValidation) {
   EXPECT_EQ(g.edge_count(), 1u);
 }
 
+TEST(RouteGraph, AddEdgeRejectsNonFinitePayload) {
+  // Every comparison with NaN is false and inf > inf is false, so none of
+  // these trip a plain `<= 0` or tiling-tolerance check.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [](const auto& mutate) {
+    RouteGraph g(2);
+    Edge e = make_edge(0, 1, 100.0);
+    mutate(e);
+    EXPECT_THROW(g.add_edge(e), std::invalid_argument);
+    EXPECT_THROW(g.add_bidirectional(e), std::invalid_argument);
+    EXPECT_EQ(g.edge_count(), 0u);
+  };
+  expect_rejected([&](Edge& e) { e.length_m = kNan; });
+  expect_rejected([&](Edge& e) { e.length_m = kInf; });
+  expect_rejected([&](Edge& e) { e.grade_step_m = kNan; });
+  expect_rejected([&](Edge& e) { e.length_m = e.grade_step_m = kInf; });
+  for (const double sample : {kNan, kInf, -kInf}) {
+    SCOPED_TRACE(sample);
+    expect_rejected([&](Edge& e) { e.grades[1] = sample; });
+  }
+}
+
 TEST(RouteGraph, BidirectionalMirrorsGrades) {
   RouteGraph g(2);
   g.add_bidirectional(make_edge(0, 1, 100.0, deg2rad(3.0)));
@@ -55,7 +85,7 @@ TEST(RouteGraph, ShortestPathByDistance) {
   g.add_edge(make_edge(0, 1, 100.0));
   g.add_edge(make_edge(1, 2, 100.0));
   g.add_edge(make_edge(0, 2, 150.0));
-  const auto route = g.shortest_path(0, 2, edge_cost_distance);
+  const auto route = shortest_path(g, 0, 2, edge_cost_distance);
   ASSERT_TRUE(route.found);
   EXPECT_DOUBLE_EQ(route.cost, 150.0);
   EXPECT_EQ(route.edges.size(), 1u);
@@ -66,9 +96,9 @@ TEST(RouteGraph, ShortestPathByDistance) {
 TEST(RouteGraph, UnreachableReturnsNotFound) {
   RouteGraph g(3);
   g.add_edge(make_edge(0, 1, 100.0));
-  const auto route = g.shortest_path(0, 2, edge_cost_distance);
+  const auto route = shortest_path(g, 0, 2, edge_cost_distance);
   EXPECT_FALSE(route.found);
-  EXPECT_THROW(g.shortest_path(0, 9, edge_cost_distance),
+  EXPECT_THROW(shortest_path(g, 0, 9, edge_cost_distance),
                std::invalid_argument);
 }
 
@@ -80,9 +110,9 @@ TEST(RouteGraph, FuelCostPrefersFlatDetour) {
   g.add_edge(make_edge(1, 2, 600.0));
   g.add_edge(make_edge(2, 3, 600.0));  // 1.8 km flat
   const double v = 11.1;
-  const auto by_dist = g.shortest_path(0, 3, edge_cost_distance);
-  const auto by_fuel = g.shortest_path(
-      0, 3, [v](const Edge& e) { return edge_cost_fuel(e, v); });
+  const auto by_dist = shortest_path(g, 0, 3, edge_cost_distance);
+  const auto by_fuel = shortest_path(
+      g, 0, 3, [v](const Edge& e) { return edge_cost_fuel(e, v); });
   ASSERT_TRUE(by_dist.found);
   ASSERT_TRUE(by_fuel.found);
   EXPECT_EQ(by_dist.edges.size(), 1u);   // the hill is shorter
@@ -158,7 +188,7 @@ TEST(RouteGraph, ShortestPathTieBreaksByLowerEdgeIndex) {
   g.add_edge(make_edge(0, 2, 100.0));  // e1
   g.add_edge(make_edge(1, 3, 100.0));  // e2
   g.add_edge(make_edge(2, 3, 100.0));  // e3
-  const auto route = g.shortest_path(0, 3, edge_cost_distance);
+  const auto route = shortest_path(g, 0, 3, edge_cost_distance);
   ASSERT_TRUE(route.found);
   EXPECT_EQ(route.edges, (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(route.nodes, (std::vector<std::size_t>{0, 1, 3}));
@@ -170,7 +200,7 @@ TEST(RouteGraph, ShortestPathTieBreaksByLowerEdgeIndex) {
   h.add_edge(make_edge(2, 3, 100.0));  // e1
   h.add_edge(make_edge(0, 1, 100.0));  // e2
   h.add_edge(make_edge(1, 3, 100.0));  // e3
-  const auto route2 = h.shortest_path(0, 3, edge_cost_distance);
+  const auto route2 = shortest_path(h, 0, 3, edge_cost_distance);
   ASSERT_TRUE(route2.found);
   EXPECT_EQ(route2.edges, (std::vector<std::size_t>{0, 1}));
 }
@@ -280,7 +310,7 @@ TEST(OsmCity, ConnectedFromCornerSample) {
   cfg.cols = 9;
   const RouteGraph g = make_osm_city(cfg);
   for (std::size_t n = 0; n < g.node_count(); n += 7) {
-    EXPECT_TRUE(g.shortest_path(0, n, edge_cost_distance).found)
+    EXPECT_TRUE(shortest_path(g, 0, n, edge_cost_distance).found)
         << "node " << n;
   }
 }
@@ -337,7 +367,7 @@ TEST(GridCity, TerrainIsConservativeAndHasASlope) {
 TEST(GridCity, AllNodesConnected) {
   const RouteGraph g = make_grid_city(5, 5, 200.0, 4);
   for (std::size_t n = 1; n < g.node_count(); ++n) {
-    EXPECT_TRUE(g.shortest_path(0, n, edge_cost_distance).found)
+    EXPECT_TRUE(shortest_path(g, 0, n, edge_cost_distance).found)
         << "node " << n;
   }
 }
@@ -345,7 +375,7 @@ TEST(GridCity, AllNodesConnected) {
 TEST(RouteGraph, ManhattanDistanceOnGrid) {
   const RouteGraph g = make_grid_city(4, 4, 300.0, 5);
   // Corner to corner: (rows-1 + cols-1) blocks.
-  const auto route = g.shortest_path(0, 15, edge_cost_distance);
+  const auto route = shortest_path(g, 0, 15, edge_cost_distance);
   ASSERT_TRUE(route.found);
   EXPECT_NEAR(route.cost, 6.0 * 300.0, 1e-9);
 }
