@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace rge::planning {
 
 namespace {
@@ -24,6 +26,103 @@ struct KeyGreater {
     return a.key > b.key;
   }
 };
+
+// Indexed 4-ary min-heap of node ids for the preprocessing sweeps, keyed
+// on the sweep's distance array: at most one entry per node (pos_ tracks
+// its slot), so an improved distance moves the node's entry up instead of
+// pushing a stale duplicate. A node leaves the heap only by pop(), so
+// pos_ is all-absent again once a sweep drains it and the scratch is
+// reused across sweeps without clearing.
+class NodeHeap {
+ public:
+  explicit NodeHeap(std::size_t n) : pos_(n, kAbsent) { heap_.reserve(n); }
+
+  bool empty() const { return heap_.empty(); }
+
+  /// Inserts `node`, or restores heap order after its key dropped.
+  void push_or_decrease(std::uint32_t node, const double* key) {
+    std::size_t i = pos_[node];
+    if (i == kAbsent) {
+      i = heap_.size();
+      heap_.push_back(node);
+    }
+    const double k = key[node];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (!(k < key[heap_[parent]])) break;
+      place(i, heap_[parent]);
+      i = parent;
+    }
+    place(i, node);
+  }
+
+  std::uint32_t pop(const double* key) {
+    const std::uint32_t top = heap_.front();
+    pos_[top] = kAbsent;
+    const std::uint32_t last = heap_.back();
+    heap_.pop_back();
+    const std::size_t size = heap_.size();
+    if (size == 0) return top;
+    const double k = key[last];
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = 4 * i + 1;
+      if (first >= size) break;
+      const std::size_t end = std::min(first + 4, size);
+      std::size_t best = first;
+      double best_key = key[heap_[first]];
+      for (std::size_t c = first + 1; c < end; ++c) {
+        const double ck = key[heap_[c]];
+        if (ck < best_key) {
+          best = c;
+          best_key = ck;
+        }
+      }
+      if (!(best_key < k)) break;
+      place(i, heap_[best]);
+      i = best;
+    }
+    place(i, last);
+    return top;
+  }
+
+ private:
+  static constexpr std::uint32_t kAbsent =
+      std::numeric_limits<std::uint32_t>::max();
+
+  void place(std::size_t i, std::uint32_t node) {
+    heap_[i] = node;
+    pos_[node] = static_cast<std::uint32_t>(i);
+  }
+
+  std::vector<std::uint32_t> heap_;
+  std::vector<std::uint32_t> pos_;
+};
+
+// Single-source shortest-path costs from `src` over one CSR direction:
+// out[v] = d(src, v), +inf where unreachable. Costs are strictly positive,
+// so a settled node is never improved again and one heap entry per node
+// suffices.
+void sweep(const std::uint32_t* offsets, const std::uint32_t* head,
+           const double* cost, std::uint32_t src, std::size_t n, double* out,
+           NodeHeap& heap) {
+  std::fill(out, out + n, kInf);
+  out[src] = 0.0;
+  heap.push_or_decrease(src, out);
+  while (!heap.empty()) {
+    const std::uint32_t u = heap.pop(out);
+    const double du = out[u];
+    const std::uint32_t hi = offsets[u + 1];
+    for (std::uint32_t p = offsets[u]; p < hi; ++p) {
+      const std::uint32_t v = head[p];
+      const double nd = du + cost[p];
+      if (nd < out[v]) {
+        out[v] = nd;
+        heap.push_or_decrease(v, out);
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -65,16 +164,26 @@ CsrGraph::CsrGraph(const RouteGraph& g, const CostModel& model,
     throw std::invalid_argument("CsrGraph: graph too large for u32 ids");
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
+  {
+    OBS_SPAN("csr.freeze.cost_tables");
+    const auto t0 = std::chrono::steady_clock::now();
+    order_nodes(g, alt.bfs_order);
+    build_csr(g, model);
+    build_stats_.cost_tables_ms = ms_since(t0);
+  }
+  OBS_SPAN("csr.freeze.landmarks");
+  const auto t1 = std::chrono::steady_clock::now();
+  build_landmarks(alt);
+  build_stats_.landmarks_ms = ms_since(t1);
+}
 
-  // ---- node order: BFS from node 0, unreached nodes appended by id ----
+// Node order: BFS from node 0, unreached nodes appended by id.
+void CsrGraph::order_nodes(const RouteGraph& g, bool bfs_order) {
   const std::size_t n = g.node_count();
   original_of_.clear();
   original_of_.reserve(n);
   internal_of_.assign(n, kNoEdge);
-  if (alt.bfs_order) {
-    std::vector<std::uint32_t> frontier;
-    frontier.push_back(0);
+  if (bfs_order) {
     internal_of_[0] = 0;
     original_of_.push_back(0);
     for (std::size_t qi = 0; qi < original_of_.size(); ++qi) {
@@ -99,13 +208,6 @@ CsrGraph::CsrGraph(const RouteGraph& g, const CostModel& model,
       original_of_.push_back(v);
     }
   }
-
-  build_csr(g, model);
-  build_stats_.cost_tables_ms = ms_since(t0);
-
-  const auto t1 = std::chrono::steady_clock::now();
-  build_landmarks(alt);
-  build_stats_.landmarks_ms = ms_since(t1);
 }
 
 void CsrGraph::build_csr(const RouteGraph& g, const CostModel& model) {
@@ -200,72 +302,51 @@ void CsrGraph::build_csr(const RouteGraph& g, const CostModel& model) {
   }
 }
 
-void CsrGraph::dijkstra_all(std::uint32_t src, Metric m, bool reverse,
-                            std::vector<double>& out) const {
-  const std::size_t n = node_count();
-  const double* cost = cost_[static_cast<int>(m)].data();
-  out.assign(n, kInf);
-  out[src] = 0.0;
-
-  struct Entry {
-    double key;
-    std::uint32_t node;
-  };
-  std::vector<Entry> heap;
-  heap.push_back({0.0, src});
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), KeyGreater{});
-    const Entry e = heap.back();
-    heap.pop_back();
-    if (e.key > out[e.node]) continue;
-    const std::uint32_t lo =
-        reverse ? rev_offsets_[e.node] : offsets_[e.node];
-    const std::uint32_t hi =
-        reverse ? rev_offsets_[e.node + 1] : offsets_[e.node + 1];
-    for (std::uint32_t p = lo; p < hi; ++p) {
-      const std::uint32_t v = reverse ? rev_head_[p] : head_[p];
-      const double c = reverse ? cost[rev_pos_[p]] : cost[p];
-      const double nd = e.key + c;
-      if (nd < out[v]) {
-        out[v] = nd;
-        heap.push_back({nd, v});
-        std::push_heap(heap.begin(), heap.end(), KeyGreater{});
-      }
-    }
-  }
-}
-
 void CsrGraph::build_landmarks(const AltConfig& alt) {
   const std::size_t n = node_count();
   const std::size_t k = std::min(alt.landmarks, n);
   if (k == 0) return;
 
-  std::vector<double> dist;
+  NodeHeap heap(n);
+  auto run_sweep = [&](const std::vector<std::uint32_t>& offsets,
+                       const std::vector<std::uint32_t>& head,
+                       const double* cost, std::uint32_t src, double* out) {
+    sweep(offsets.data(), head.data(), cost, src, n, out, heap);
+    ++build_stats_.landmark_sweeps;
+  };
+
+  std::vector<double> seed(n);
   std::vector<double> min_dist;
+  std::vector<double> rev_cost(edge_count());
   for (int mi = 0; mi < kMetricCount; ++mi) {
-    const auto metric = static_cast<Metric>(mi);
+    const double* cost = cost_[mi].data();
     auto& lms = landmarks_[mi];
+    auto& from = land_from_[mi];
     lms.clear();
+    from.resize(k * n);
 
     // Farthest-point selection on forward distances, seeded from node 0.
     // Ties break to the lower internal id so selection is deterministic.
-    min_dist.assign(n, kInf);
+    // Each landmark's selection sweep is written straight into its
+    // d(L, .) row, so no forward sweep runs twice.
+    run_sweep(offsets_, head_, cost, 0, seed.data());
     std::uint32_t next = 0;
-    dijkstra_all(0, metric, /*reverse=*/false, dist);
     double best = -1.0;
     for (std::uint32_t v = 0; v < n; ++v) {
-      if (std::isfinite(dist[v]) && dist[v] > best) {
-        best = dist[v];
+      if (std::isfinite(seed[v]) && seed[v] > best) {
+        best = seed[v];
         next = v;
       }
     }
+    min_dist.assign(n, kInf);
     while (lms.size() < k) {
+      double* row = from.data() + lms.size() * n;
       lms.push_back(next);
-      dijkstra_all(next, metric, /*reverse=*/false, dist);
+      run_sweep(offsets_, head_, cost, next, row);
       double far = -1.0;
       std::uint32_t far_node = kNoEdge;
       for (std::uint32_t v = 0; v < n; ++v) {
-        min_dist[v] = std::min(min_dist[v], dist[v]);
+        min_dist[v] = std::min(min_dist[v], row[v]);
         if (std::isfinite(min_dist[v]) && min_dist[v] > far) {
           far = min_dist[v];
           far_node = v;
@@ -274,17 +355,18 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
       if (far_node == kNoEdge || far <= 0.0) break;  // graph exhausted
       next = far_node;
     }
+    from.resize(lms.size() * n);  // selection may stop before k
 
-    // Distance tables for the selected landmarks, both directions.
-    land_from_[mi].assign(lms.size() * n, kInf);
-    land_to_[mi].assign(lms.size() * n, kInf);
+    // d(., L) rows: sweeps over the reverse CSR, with this metric's costs
+    // gathered into reverse-slot order once.
+    for (std::size_t slot = 0; slot < rev_cost.size(); ++slot) {
+      rev_cost[slot] = cost[rev_pos_[slot]];
+    }
+    auto& to = land_to_[mi];
+    to.resize(lms.size() * n);
     for (std::size_t li = 0; li < lms.size(); ++li) {
-      dijkstra_all(lms[li], metric, /*reverse=*/false, dist);
-      std::copy(dist.begin(), dist.end(),
-                land_from_[mi].begin() + static_cast<std::ptrdiff_t>(li * n));
-      dijkstra_all(lms[li], metric, /*reverse=*/true, dist);
-      std::copy(dist.begin(), dist.end(),
-                land_to_[mi].begin() + static_cast<std::ptrdiff_t>(li * n));
+      run_sweep(rev_offsets_, rev_head_, rev_cost.data(), lms[li],
+                to.data() + li * n);
     }
   }
 }

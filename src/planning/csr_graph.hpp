@@ -27,6 +27,14 @@
 // admissibility; each metric gets its own landmark selection and distance
 // tables instead.
 //
+// Preprocessing runs 1 + 2k single-source sweeps per metric on an indexed
+// 4-ary heap: a seed sweep from node 0, one forward sweep per landmark
+// during farthest-point selection (written straight into that landmark's
+// d(L, .) row, so selection and forward tables share their sweeps), and k
+// sweeps over the reverse CSR for d(., L). With strictly positive costs a
+// Dijkstra result does not depend on heap order, so the tables are the
+// same bits any correct Dijkstra would produce (DESIGN.md §9).
+//
 // Queries are read-only and thread-safe: the graph is immutable after
 // construction, and all mutable search state lives in a caller-owned
 // QueryContext (one per thread; epoch-stamped arrays make reuse O(touched)
@@ -80,6 +88,9 @@ struct QueryStats {
 struct BuildStats {
   double cost_tables_ms = 0.0;
   double landmarks_ms = 0.0;
+  /// Single-source sweeps run by this freeze: 1 + 2k per metric, with k
+  /// the landmarks actually chosen.
+  std::size_t landmark_sweeps = 0;
 };
 
 class CsrGraph;
@@ -153,11 +164,9 @@ class CsrGraph {
   static constexpr std::uint32_t kNoEdge =
       std::numeric_limits<std::uint32_t>::max();
 
+  void order_nodes(const RouteGraph& g, bool bfs_order);
   void build_csr(const RouteGraph& g, const CostModel& model);
   void build_landmarks(const AltConfig& alt);
-  /// Full single-source distances over the CSR arrays (preprocessing).
-  void dijkstra_all(std::uint32_t src, Metric m, bool reverse,
-                    std::vector<double>& out) const;
   double potential_internal(Metric m, std::uint32_t v, std::uint32_t t) const;
 
   // --- CSR adjacency (internal BFS node order) -------------------------

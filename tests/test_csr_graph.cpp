@@ -2,11 +2,15 @@
 // cost-table exactness vs the pluggable cost functions, bit-identical
 // cost/path parity between plain Dijkstra, ALT, and the std::function
 // Dijkstra oracle, deterministic tie-breaking, potential
-// admissibility, and thread-safety of concurrent queries over one shared
-// graph (the CsrGraphConcurrency suite runs under the tsan-runtime preset).
+// admissibility, exact and golden landmark tables, the freeze's sweep
+// count and obs spans, and thread-safety of concurrent queries over one
+// shared graph (the CsrGraphConcurrency suite runs under the tsan-runtime
+// preset).
 #include "planning/csr_graph.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <future>
 #include <vector>
 
@@ -15,6 +19,7 @@
 #include "emissions/emissions.hpp"
 #include "math/angles.hpp"
 #include "math/rng.hpp"
+#include "obs/obs.hpp"
 #include "oracles/dijkstra.hpp"
 #include "planning/city_gen.hpp"
 #include "runtime/thread_pool.hpp"
@@ -247,6 +252,142 @@ TEST(CsrGraph, RejectsEmptyGraphAndReportsBuildStats) {
   EXPECT_EQ(csr.landmark_count(), 8u);
   for (const Metric m : kAllMetrics) {
     EXPECT_EQ(csr.landmarks(m).size(), csr.landmark_count());
+  }
+}
+
+TEST(CsrGraph, ReportsOneSweepPerSelectionAndTableRow) {
+  // Per metric: one seed sweep from node 0, then one forward sweep per
+  // landmark (which doubles as its d(L, .) row) and one reverse sweep.
+  const RouteGraph g = make_grid_city(4, 4, 200.0, 6);
+  const CsrGraph csr(g);
+  ASSERT_EQ(csr.landmark_count(), 8u);
+  EXPECT_EQ(csr.build_stats().landmark_sweeps, 4u * (1u + 2u * 8u));
+
+  AltConfig off;
+  off.landmarks = 0;
+  EXPECT_EQ(CsrGraph(g, CostModel{}, off).build_stats().landmark_sweeps, 0u);
+}
+
+TEST(CsrGraph, SelectionStopsEarlyOnASmallDisconnectedGraph) {
+  // Five nodes (fewer than the 8 requested landmarks): a 3-cycle plus a
+  // one-way edge the cycle never reaches. Farthest-point selection covers
+  // the cycle with 3 landmarks and stops, so only 3 table rows are built.
+  RouteGraph g(5);
+  g.add_edge(make_edge(0, 1, 100.0));
+  g.add_edge(make_edge(1, 2, 100.0));
+  g.add_edge(make_edge(2, 0, 100.0));
+  g.add_edge(make_edge(3, 4, 100.0));
+  const CsrGraph csr(g);
+  for (const Metric m : kAllMetrics) {
+    EXPECT_EQ(csr.landmarks(m), (std::vector<std::size_t>{2, 1, 0}))
+        << metric_name(m);
+  }
+  EXPECT_EQ(csr.build_stats().landmark_sweeps, 4u * (1u + 2u * 3u));
+
+  QueryContext ctx;
+  for (const Metric m : kAllMetrics) {
+    for (std::size_t u = 0; u < g.node_count(); ++u) {
+      for (std::size_t t = 0; t < g.node_count(); ++t) {
+        const auto r = csr.route(u, t, m, ctx, false);
+        if (!r.found) continue;
+        EXPECT_LE(csr.potential(m, u, t), r.cost * (1.0 + 1e-12))
+            << metric_name(m) << " " << u << "->" << t;
+        expect_identical(r, csr.route(u, t, m, ctx, true), metric_name(m));
+      }
+    }
+  }
+}
+
+TEST(CsrGraph, LandmarkTablesHoldExactShortestPathCosts) {
+  // potential(L, t) reads d(L, t) - d(L, L) and potential(t, L) reads
+  // d(t, L) - d(L, L), one table entry each; with the admissibility test
+  // above, these pin every d(L, .) and d(., L) entry to the exact Dijkstra
+  // cost, with no slack. A d(., L) row is a sweep over reversed edges from
+  // L, so its sums accumulate from L's end of the path; the matching
+  // reference is a forward query from L on the edge-reversed graph (each
+  // edge keeps its payload, so its cost in every metric is unchanged).
+  OsmCityConfig cfg;
+  cfg.rows = 10;
+  cfg.cols = 10;
+  const RouteGraph g = make_osm_city(cfg);
+  RouteGraph reversed(g.node_count());
+  for (std::size_t ei = 0; ei < g.edge_count(); ++ei) {
+    Edge e = g.edge(ei);
+    std::swap(e.from, e.to);
+    reversed.add_edge(std::move(e));
+  }
+  const CsrGraph csr(g);
+  const CsrGraph rev(reversed);
+  QueryContext ctx;
+  for (const Metric m : kAllMetrics) {
+    for (const std::size_t lm : csr.landmarks(m)) {
+      for (std::size_t t = 0; t < g.node_count(); ++t) {
+        const auto from_l = csr.route(lm, t, m, ctx, false);
+        const auto to_l = rev.route(lm, t, m, ctx, false);
+        ASSERT_TRUE(from_l.found && to_l.found);
+        EXPECT_GE(csr.potential(m, lm, t), from_l.cost)
+            << metric_name(m) << " L=" << lm << " t=" << t;
+        EXPECT_GE(csr.potential(m, t, lm), to_l.cost)
+            << metric_name(m) << " L=" << lm << " t=" << t;
+      }
+    }
+  }
+}
+
+std::uint64_t fnv1a(std::uint64_t h, double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  for (int i = 0; i < 8; ++i) {
+    h ^= (bits >> (8 * i)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(CsrGraph, LandmarksAndPotentialsMatchGoldenValues) {
+  // Recorded from the lazy-binary-heap preprocessing that ran 1 + k
+  // selection sweeps plus 2k table sweeps per metric. Dijkstra distances
+  // with strictly positive costs do not depend on heap order, so any
+  // correct preprocessing must reproduce these bit for bit.
+  OsmCityConfig cfg;
+  cfg.rows = 24;
+  cfg.cols = 24;
+  const RouteGraph g = make_osm_city(cfg);
+  const CsrGraph csr(g);
+  const std::vector<std::size_t> golden_landmarks[kMetricCount] = {
+      {575, 0, 529, 22, 300, 564, 242, 357},
+      {575, 25, 556, 143, 398, 268, 61, 359},
+      {575, 75, 212, 552, 444, 296, 177, 407},
+      {575, 75, 212, 552, 444, 296, 177, 407},
+  };
+  const std::uint64_t golden_fingerprint[kMetricCount] = {
+      0x0d6ac501f333da6cull, 0x336c2ffe6958a6bdull, 0x957fee2dc6b9b252ull,
+      0x138d5201818996d4ull};
+  for (const Metric m : kAllMetrics) {
+    const int mi = static_cast<int>(m);
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::size_t v = 0; v < g.node_count(); v += 5) {
+      for (std::size_t t = 0; t < g.node_count(); t += 7) {
+        h = fnv1a(h, csr.potential(m, v, t));
+      }
+    }
+    EXPECT_EQ(csr.landmarks(m), golden_landmarks[mi]) << metric_name(m);
+    EXPECT_EQ(h, golden_fingerprint[mi]) << metric_name(m);
+  }
+}
+
+TEST(CsrGraphObs, OneFreezeRecordsOneSpanPerStage) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const RouteGraph g = make_grid_city(4, 4, 200.0, 6);
+  obs::clear_trace();
+  obs::set_tracing(true);
+  { const CsrGraph csr(g); }
+  obs::set_tracing(false);
+  const auto totals = obs::span_totals();
+  obs::clear_trace();
+  for (const char* name : {"csr.freeze.cost_tables", "csr.freeze.landmarks"}) {
+    ASSERT_EQ(totals.count(name), 1u) << name;
+    EXPECT_EQ(totals.at(name).count, 1) << name;
   }
 }
 
