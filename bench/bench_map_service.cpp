@@ -11,10 +11,13 @@
 //     copy, O(1) regardless of map size);
 //   * per-shard ingest counters via the obs layer.
 //
-// Correctness anchor: the sharded service's published map is checked
+// Correctness anchors: the sharded service's published map is checked
 // bit-identical to the single-shard serial service, road by road, cell by
-// cell. Numbers land in BENCH_map_service.json — the perf-trajectory
-// artifact also emitted by tests/test_map_service_perf.
+// cell, and every shard's obs sample counter must equal its functional
+// count (read before the reference service, which shares the
+// process-global `service.shard0.*` names, ingests). The bench exits
+// nonzero if either fails. Numbers land in BENCH_map_service.json — the
+// perf-trajectory artifact also emitted by tests/test_map_service_perf.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -148,6 +151,9 @@ int main() {
   }
   std::sort(snapshot_us.begin(), snapshot_us.end());
 
+  // Obs counters are process-global: read them before the reference
+  // service below bumps the same service.shard0.* names.
+  const auto obs_snap = obs::Registry::global().snapshot();
   const auto final_snap = svc.snapshot();
   std::size_t covered = 0;
   for (const auto& view : final_snap->roads) covered += view.size();
@@ -186,7 +192,6 @@ int main() {
       identical ? "yes" : "NO");
 
   // ---- per-shard counters (local stats + obs mirror) ------------------
-  const auto obs_snap = obs::Registry::global().snapshot();
   auto obs_counter = [&](const std::string& name) {
     const auto it = obs_snap.counters.find(name);
     return it == obs_snap.counters.end() ? std::int64_t{0} : it->second;
@@ -195,6 +200,7 @@ int main() {
               "tracks", "samples", "covered");
   testing::Json::Array shard_rows;
   shard_rows.reserve(svc.n_shards());
+  bool counters_conserved = true;
   for (const auto& st : svc.shard_stats()) {
     const std::string prefix = "service.shard" + std::to_string(st.shard);
     std::printf("%-6zu %8zu %8zu %12llu %14llu %14llu\n", st.shard,
@@ -211,9 +217,15 @@ int main() {
     row["covered_cells"] = testing::Json(std::size_t{st.covered_cells});
     row["obs_tracks"] =
         testing::Json(static_cast<double>(obs_counter(prefix + ".tracks")));
-    row["obs_samples"] =
-        testing::Json(static_cast<double>(obs_counter(prefix + ".samples")));
+    const std::int64_t obs_samples = obs_counter(prefix + ".samples");
+    row["obs_samples"] = testing::Json(static_cast<double>(obs_samples));
     shard_rows.emplace_back(std::move(row));
+    if (obs_samples != static_cast<std::int64_t>(st.samples_ingested)) {
+      counters_conserved = false;
+      std::printf("shard %zu: obs samples %lld != ingested %llu\n", st.shard,
+                  static_cast<long long>(obs_samples),
+                  static_cast<unsigned long long>(st.samples_ingested));
+    }
   }
 
   // ---- perf-trajectory artifact ---------------------------------------
@@ -248,6 +260,7 @@ int main() {
   doc["correctness"] = testing::Json::Object{
       {"covered_cells", covered},
       {"maps_bit_identical", identical},
+      {"obs_counters_conserved", counters_conserved},
   };
   doc["shards"] = shard_rows;
   testing::write_json_file(testing::Json(doc), "BENCH_map_service.json");
@@ -258,5 +271,5 @@ int main() {
       "ranges, so shards accumulate disjoint cells and the merged map is "
       "the serial map bit for bit — sharding buys ingest parallelism and "
       "O(1) reader snapshots without giving up reproducibility.\n");
-  return identical ? 0 : 1;
+  return identical && counters_conserved ? 0 : 1;
 }

@@ -447,25 +447,58 @@ GradeTrack FusionAccumulator::snapshot() const {
   return fused;
 }
 
+void FusionAccumulator::CoverageSnapshot::resize(std::size_t n) {
+  track.t.resize(n);
+  track.grade.resize(n);
+  track.grade_var.resize(n);
+  track.speed.resize(n);
+  track.s.resize(n);
+  cells.resize(n);
+  coverage.resize(n);
+}
+
 FusionAccumulator::CoverageSnapshot FusionAccumulator::snapshot_covered(
     std::uint32_t min_coverage) const {
+  CoverageSnapshot out;
+  out.resize(count_covered(0, grid_.n, min_coverage));
+  out.track.source = "fused-distance";
+  finalize_covered(0, grid_.n, min_coverage, out, 0);
+  return out;
+}
+
+namespace {
+
+void check_min_coverage(std::uint32_t min_coverage) {
   if (min_coverage == 0) {
     throw std::invalid_argument(
-        "FusionAccumulator::snapshot_covered: min_coverage must be >= 1");
+        "FusionAccumulator: min_coverage must be >= 1");
   }
-  CoverageSnapshot out;
+}
+
+}  // namespace
+
+std::size_t FusionAccumulator::count_covered(
+    std::size_t cell_begin, std::size_t cell_end,
+    std::uint32_t min_coverage) const {
+  check_min_coverage(min_coverage);
+  cell_end = std::min(cell_end, grid_.n);
   std::size_t n_covered = 0;
-  for (std::size_t i = 0; i < grid_.n; ++i) {
+  for (std::size_t i = cell_begin; i < cell_end; ++i) {
     if (coverage_[i] >= min_coverage) ++n_covered;
   }
-  out.track = make_fused_shell(n_covered);
-  out.cells.reserve(n_covered);
-  out.coverage.reserve(n_covered);
-  std::size_t j = 0;
-  for (std::size_t i = 0; i < grid_.n; ++i) {
+  return n_covered;
+}
+
+std::size_t FusionAccumulator::finalize_covered(
+    std::size_t cell_begin, std::size_t cell_end, std::uint32_t min_coverage,
+    CoverageSnapshot& out, std::size_t at) const {
+  check_min_coverage(min_coverage);
+  cell_end = std::min(cell_end, grid_.n);
+  std::size_t j = at;
+  for (std::size_t i = cell_begin; i < cell_end; ++i) {
     if (coverage_[i] < min_coverage) continue;
-    out.cells.push_back(i);
-    out.coverage.push_back(coverage_[i]);
+    out.cells[j] = i;
+    out.coverage[j] = coverage_[i];
     out.track.s[j] = grid_.at(i);
     out.track.grade[j] = grade_sum_[i] / weight_sum_[i];
     out.track.grade_var[j] = 1.0 / weight_sum_[i];
@@ -478,7 +511,7 @@ FusionAccumulator::CoverageSnapshot FusionAccumulator::snapshot_covered(
                                       : static_cast<double>(coverage_[i]));
     ++j;
   }
-  return out;
+  return j;
 }
 
 // ------------------------------------------------------ entry points ----

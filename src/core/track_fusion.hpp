@@ -185,7 +185,7 @@ class FusionAccumulator {
   /// different track subsets), so the result intentionally skips the full
   /// GradeTrack::validate() contract; `cells` maps each sample back to
   /// its grid cell index and `coverage` reports the per-cell contributor
-  /// count.
+  /// count. This is the whole-grid case of finalize_covered().
   /// @throws std::invalid_argument if min_coverage == 0.
   struct CoverageSnapshot {
     GradeTrack track;
@@ -193,8 +193,27 @@ class FusionAccumulator {
     std::vector<std::uint32_t> coverage;
 
     std::size_t size() const { return cells.size(); }
+    /// Size every array to n samples (exactly: no growth slack).
+    void resize(std::size_t n);
   };
   CoverageSnapshot snapshot_covered(std::uint32_t min_coverage = 1) const;
+
+  /// Cells of [cell_begin, cell_end) (clamped to the grid) with coverage
+  /// >= min_coverage: the sample count finalize_covered() writes.
+  /// @throws std::invalid_argument if min_coverage == 0.
+  std::size_t count_covered(std::size_t cell_begin, std::size_t cell_end,
+                            std::uint32_t min_coverage) const;
+
+  /// Cell-range finalize of Eq. 6: the covered cells of [cell_begin,
+  /// cell_end), exactly as snapshot_covered() would finalize them, written
+  /// into `out` from sample `at` on. `out` must already hold at least
+  /// at + count_covered(...) samples. Returns the index one past the last
+  /// sample written. The sharded map service finalizes each shard's owned
+  /// tiles with it.
+  /// @throws std::invalid_argument if min_coverage == 0.
+  std::size_t finalize_covered(std::size_t cell_begin, std::size_t cell_end,
+                               std::uint32_t min_coverage,
+                               CoverageSnapshot& out, std::size_t at) const;
 
   const FusionGrid& grid() const { return grid_; }
   const FusionConfig& config() const { return cfg_; }

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -70,8 +69,12 @@ struct MapService::Shard {
   /// tiles; cells outside owned tiles are never touched. The structure is
   /// fixed after construction — only the accumulators mutate, under mu.
   std::vector<std::unique_ptr<core::FusionAccumulator>> acc;
+  /// Per road: accumulated into since publish() last gathered the marks.
+  /// All set on construction, so the first publish after build_shards
+  /// (construction or rebalance) rebuilds every road.
+  std::vector<std::uint8_t> dirty;
   core::MatcherCache matchers;
-  std::mutex mu;  ///< guards the accumulators and the counters below
+  std::mutex mu;  ///< guards the accumulators, the marks and the counters
   std::uint64_t tracks_ingested = 0;
   std::uint64_t samples_ingested = 0;
 #if RGE_OBS_ENABLED
@@ -84,6 +87,7 @@ struct MapService::Shard {
   Shard(std::size_t idx, std::size_t n_roads, std::size_t matcher_capacity)
       : index(idx),
         acc(n_roads),
+        dirty(n_roads, 1),
         matchers(matcher_capacity)
 #if RGE_OBS_ENABLED
         ,
@@ -154,10 +158,14 @@ void MapService::build_shards(std::size_t n_shards) {
     shards.push_back(std::make_unique<Shard>(s, network_.size(),
                                              cfg_.matcher_cache_capacity));
   }
+  tile_shard_.assign(network_.size(), {});
   for (std::size_t r = 0; r < network_.size(); ++r) {
+    tile_shard_[r].resize(tiles_per_road_[r]);
     for (std::size_t t = 0; t < tiles_per_road_[r]; ++t) {
-      Shard& shard =
-          *shards[tile_hash(static_cast<RoadId>(r), t) % n_shards];
+      const auto s = static_cast<std::uint32_t>(
+          tile_hash(static_cast<RoadId>(r), t) % n_shards);
+      tile_shard_[r][t] = s;
+      Shard& shard = *shards[s];
       ++shard.n_tiles;
       if (!shard.acc[r]) {
         shard.acc[r] = std::make_unique<core::FusionAccumulator>(
@@ -192,7 +200,11 @@ std::size_t MapService::tiles_of(RoadId id) const {
 
 std::size_t MapService::shard_of_tile(RoadId id, std::size_t tile) const {
   check_road(id);
-  return tile_hash(id, tile) % shards_.size();
+  if (tile >= tiles_per_road_[id]) {
+    throw std::out_of_range("MapService: tile " + std::to_string(tile) +
+                            " beyond road " + std::to_string(id));
+  }
+  return tile_shard_[id][tile];
 }
 
 void MapService::split_upload(
@@ -227,7 +239,7 @@ void MapService::split_upload(
     st.track = &track;
     st.cell_begin = t * cpt;
     st.cell_end = std::min(grid.n, (t + 1) * cpt);
-    per_shard[tile_hash(r, t) % shards_.size()].push_back(st);
+    per_shard[tile_shard_[r][t]].push_back(st);
   }
 }
 
@@ -262,6 +274,7 @@ void MapService::apply_to_shard(std::size_t s,
   for (const SubTrack& st : items) {
     shard.acc[st.road]->add_track_cells(*st.track, st.cell_begin,
                                         st.cell_end);
+    shard.dirty[st.road] = 1;
     samples += samples_in_tile(*st.track, grids_[st.road], st.cell_begin,
                                st.cell_end);
   }
@@ -303,80 +316,126 @@ void MapService::ingest_one(const TrackUpload& upload) {
   OBS_COUNT("service.uploads", 1);
 }
 
+namespace {
+
+template <typename T>
+void append_run(std::vector<T>& dst, const std::vector<T>& src,
+                std::size_t at, std::size_t n) {
+  const auto first = src.begin() + static_cast<std::ptrdiff_t>(at);
+  dst.insert(dst.end(), first, first + static_cast<std::ptrdiff_t>(n));
+}
+
+}  // namespace
+
 std::uint64_t MapService::publish(runtime::ThreadPool* pool) {
   OBS_SPAN("service.publish");
   std::lock_guard<std::mutex> publishers(publish_mu_);
+  const std::shared_ptr<const ServiceSnapshot> prev = snapshot();
+  const std::size_t n_roads = network_.size();
 
-  // Phase 1 — per-shard finalize: each shard's covered cells, extracted
-  // under its ingest lock (held only for the scan, not for the merge).
-  // Cells live in exactly one shard, so per-shard coverage thresholds
-  // equal global ones.
-  struct Piece {
-    RoadId road;
-    core::FusionAccumulator::CoverageSnapshot snap;
-  };
-  std::vector<std::vector<Piece>> pieces(shards_.size());
-  const auto finalize = [&](std::size_t s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (std::size_t r = 0; r < network_.size(); ++r) {
-      if (!shard.acc[r]) continue;
-      auto snap = shard.acc[r]->snapshot_covered(cfg_.min_coverage);
-      if (snap.cells.empty()) continue;
-      pieces[s].push_back(Piece{static_cast<RoadId>(r), std::move(snap)});
-    }
-  };
-  if (pool != nullptr) {
-    runtime::parallel_for(*pool, shards_.size(), finalize);
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) finalize(s);
-  }
-
-  // Phase 2 — merge the disjoint per-shard cell sets into per-road views,
-  // ordered by cell index. No shard lock is held here; ingest proceeds.
-  auto next = std::make_shared<ServiceSnapshot>();
-  next->roads.resize(network_.size());
-  std::vector<std::vector<const Piece*>> by_road(network_.size());
-  for (const auto& shard_pieces : pieces) {
-    for (const auto& p : shard_pieces) by_road[p.road].push_back(&p);
-  }
-  for (std::size_t r = 0; r < network_.size(); ++r) {
-    RoadView& view = next->roads[r];
-    view.road = static_cast<RoadId>(r);
-    std::size_t total = 0;
-    for (const Piece* p : by_road[r]) total += p->snap.cells.size();
-    if (total == 0) continue;
-    // (cell, piece, sample index) triples sorted by cell: shards own
-    // interleaved tiles, so a k-way ordered merge is needed; a sort over
-    // the concatenation keeps it simple (k <= n_shards).
-    std::vector<std::tuple<std::size_t, const Piece*, std::size_t>> order;
-    order.reserve(total);
-    for (const Piece* p : by_road[r]) {
-      for (std::size_t i = 0; i < p->snap.cells.size(); ++i) {
-        order.emplace_back(p->snap.cells[i], p, i);
+  // Per road to rebuild: the covered-cell count of each tile (empty for
+  // a road that keeps its view). Per shard: one exactly sized piece
+  // holding its owned tiles' covered cells in (road, tile) order.
+  std::vector<std::vector<std::size_t>> tile_cells(n_roads);
+  std::vector<core::FusionAccumulator::CoverageSnapshot> pieces(
+      shards_.size());
+  {
+    OBS_SPAN("service.publish.finalize");
+    // Gather and clear every shard's marks. An upload applied after its
+    // shard's gather re-marks its road, so the next publish rebuilds it;
+    // one applied before the finalize below is included now and rebuilt
+    // once more next epoch — redundant, but exact either way.
+    for (const auto& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard->mu);
+      for (std::size_t r = 0; r < n_roads; ++r) {
+        if (shard->dirty[r] == 0) continue;
+        tile_cells[r].resize(tiles_per_road_[r]);
+        shard->dirty[r] = 0;
       }
     }
-    std::sort(order.begin(), order.end(),
-              [](const auto& a, const auto& b) {
-                return std::get<0>(a) < std::get<0>(b);
-              });
-    view.cells.reserve(total);
-    view.coverage.reserve(total);
-    view.track.source = "map-service";
-    view.track.t.reserve(total);
-    view.track.s.reserve(total);
-    view.track.grade.reserve(total);
-    view.track.grade_var.reserve(total);
-    view.track.speed.reserve(total);
-    for (const auto& [cell, piece, i] : order) {
-      const auto& tr = piece->snap.track;
-      view.cells.push_back(cell);
-      view.coverage.push_back(piece->snap.coverage[i]);
-      view.track.t.push_back(tr.t[i]);
-      view.track.s.push_back(tr.s[i]);
-      view.track.grade.push_back(tr.grade[i]);
-      view.track.grade_var.push_back(tr.grade_var[i]);
-      view.track.speed.push_back(tr.speed[i]);
+
+    // Each shard finalizes only the cell ranges of its own tiles, under
+    // its ingest lock: count, size the piece exactly, then fill. Cells
+    // live in exactly one shard, so per-shard coverage thresholds equal
+    // global ones, and each shard writes only its own tiles' counts.
+    const auto finalize = [&](std::size_t s) {
+      Shard& shard = *shards_[s];
+      std::lock_guard<std::mutex> lock(shard.mu);
+      std::size_t total = 0;
+      for (std::size_t r = 0; r < n_roads; ++r) {
+        const std::size_t cpt = cells_per_tile_[r];
+        for (std::size_t t = 0; t < tile_cells[r].size(); ++t) {
+          if (tile_shard_[r][t] != s) continue;
+          tile_cells[r][t] = shard.acc[r]->count_covered(
+              t * cpt, (t + 1) * cpt, cfg_.min_coverage);
+          total += tile_cells[r][t];
+        }
+      }
+      auto& piece = pieces[s];
+      piece.resize(total);
+      std::size_t at = 0;
+      for (std::size_t r = 0; r < n_roads; ++r) {
+        const std::size_t cpt = cells_per_tile_[r];
+        for (std::size_t t = 0; t < tile_cells[r].size(); ++t) {
+          if (tile_shard_[r][t] != s) continue;
+          at = shard.acc[r]->finalize_covered(t * cpt, (t + 1) * cpt,
+                                              cfg_.min_coverage, piece, at);
+        }
+      }
+    };
+    if (pool != nullptr) {
+      runtime::parallel_for(*pool, shards_.size(), finalize);
+    } else {
+      for (std::size_t s = 0; s < shards_.size(); ++s) finalize(s);
+    }
+  }
+
+  // Stitch without locks (ingest proceeds): walking a rebuilt road's
+  // tiles in order yields its cells in ascending order, and tile t's
+  // cells are the next run of its owner shard's piece. Every other road
+  // keeps the previous snapshot's view.
+  auto next = std::make_shared<ServiceSnapshot>();
+  PublishStats stats;
+  {
+    OBS_SPAN("service.publish.stitch");
+    next->roads.reserve(n_roads);
+    std::vector<std::size_t> cursor(shards_.size(), 0);
+    for (std::size_t r = 0; r < n_roads; ++r) {
+      const std::vector<std::size_t>& counts = tile_cells[r];
+      if (counts.empty()) {
+        next->roads.push_back(prev->roads[r]);
+        continue;
+      }
+      ++stats.roads_rebuilt;
+      RoadView& view = next->roads.emplace_back();
+      view.road = static_cast<RoadId>(r);
+      std::size_t total = 0;
+      for (const std::size_t n : counts) total += n;
+      stats.cells_rebuilt += total;
+      if (total == 0) continue;
+      view.cells.reserve(total);
+      view.coverage.reserve(total);
+      view.track.source = "map-service";
+      view.track.t.reserve(total);
+      view.track.s.reserve(total);
+      view.track.grade.reserve(total);
+      view.track.grade_var.reserve(total);
+      view.track.speed.reserve(total);
+      for (std::size_t t = 0; t < counts.size(); ++t) {
+        const std::size_t n = counts[t];
+        if (n == 0) continue;
+        const std::uint32_t s = tile_shard_[r][t];
+        const auto& piece = pieces[s];
+        const std::size_t at = cursor[s];
+        append_run(view.cells, piece.cells, at, n);
+        append_run(view.coverage, piece.coverage, at, n);
+        append_run(view.track.t, piece.track.t, at, n);
+        append_run(view.track.s, piece.track.s, at, n);
+        append_run(view.track.grade, piece.track.grade, at, n);
+        append_run(view.track.grade_var, piece.track.grade_var, at, n);
+        append_run(view.track.speed, piece.track.speed, at, n);
+        cursor[s] = at + n;
+      }
     }
   }
 
@@ -386,9 +445,15 @@ std::uint64_t MapService::publish(runtime::ThreadPool* pool) {
     epoch = ++epoch_;
     next->epoch = epoch;
     published_ = std::move(next);
+    publish_stats_ = stats;
   }
   OBS_COUNT("service.publish", 1);
   return epoch;
+}
+
+PublishStats MapService::last_publish_stats() const {
+  std::lock_guard<std::mutex> lock(snap_mu_);
+  return publish_stats_;
 }
 
 std::shared_ptr<const ServiceSnapshot> MapService::snapshot() const {
@@ -447,8 +512,7 @@ void MapService::rebalance(std::size_t new_n_shards) {
   for (std::size_t r = 0; r < network_.size(); ++r) {
     const std::size_t cpt = cells_per_tile_[r];
     for (std::size_t t = 0; t < tiles_per_road_[r]; ++t) {
-      Shard& shard =
-          *shards_[tile_hash(static_cast<RoadId>(r), t) % new_n_shards];
+      Shard& shard = *shards_[tile_shard_[r][t]];
       shard.acc[r]->merge_cells(merged[r], t * cpt,
                                 std::min(grids_[r].n, (t + 1) * cpt));
     }

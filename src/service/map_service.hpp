@@ -16,14 +16,18 @@
 // all shards therefore reproduces single-accumulator serial fusion
 // exactly, for any shard count and any pool size.
 //
-// Serving is epoch/double-buffered: publish() finalizes every shard's
-// covered cells into an immutable ServiceSnapshot and swaps it in under a
-// pointer lock held O(1); readers grab the current snapshot with
-// snapshot() and keep reading it (shared_ptr-pinned) while ingest and the
-// next publish proceed. Rebalancing to a different shard count merges the
-// old shards' sums per road (FusionAccumulator::merge_cells over the new
-// tile ranges) — exact, because tiles partition cells so every cell's sums
-// live in exactly one old shard.
+// Serving is epoch/double-buffered: publish() rebuilds the views of the
+// roads ingested into since the previous publish (each shard marks the
+// roads it accumulates into), copies every other road's view from the
+// previous snapshot, and swaps the result in under a pointer lock held
+// O(1). A rebuilt road is finalized per shard over its owned tiles only,
+// then stitched tile by tile in cell order. Readers grab the current
+// snapshot with snapshot() and keep reading it (shared_ptr-pinned) while
+// ingest and the next publish proceed. Rebalancing to a different shard
+// count merges the old shards' sums per road
+// (FusionAccumulator::merge_cells over the new tile ranges) — exact,
+// because tiles partition cells so every cell's sums live in exactly one
+// old shard — and marks every road for the next publish.
 //
 // Determinism rules (pinned by tests/test_map_service):
 //  * ingest() applies each shard's work items in upload order, so per-cell
@@ -112,6 +116,13 @@ struct ShardStats {
   std::uint64_t covered_cells = 0;     ///< cells with coverage >= 1
 };
 
+/// Work of one publish(): the roads it rebuilt from the shards and the
+/// covered cells of those roads (every other road was copied).
+struct PublishStats {
+  std::size_t roads_rebuilt = 0;
+  std::size_t cells_rebuilt = 0;
+};
+
 class MapService {
  public:
   /// Builds the tile partition and every shard's (empty) accumulators up
@@ -131,6 +142,7 @@ class MapService {
   const road::Road& road(RoadId id) const;
   const core::FusionGrid& grid(RoadId id) const;
   /// Tile count of one road and the deterministic tile -> shard map.
+  /// @throws std::out_of_range on an unknown road, or a tile beyond it.
   std::size_t tiles_of(RoadId id) const;
   std::size_t shard_of_tile(RoadId id, std::size_t tile) const;
 
@@ -149,12 +161,19 @@ class MapService {
   /// from a single thread.
   void ingest_one(const TrackUpload& upload);
 
-  /// Rebuild the published snapshot from the shards' current sums and
-  /// swap it in (epoch + 1). Ingest proceeds concurrently except for the
-  /// brief per-shard finalize, and readers are never blocked: they keep
-  /// the previous buffer until the O(1) pointer swap. Returns the new
-  /// epoch.
+  /// Publish a new snapshot (epoch + 1) and swap it in. Only the roads
+  /// ingested into since the previous publish are rebuilt from the
+  /// shards' current sums (every road after construction or rebalance);
+  /// every other road's view is copied from the previous snapshot, which
+  /// is bit-identical to rebuilding it. Ingest proceeds concurrently
+  /// except for the brief per-shard finalize (on the pool when given);
+  /// an upload that lands during the publish is rebuilt again by the
+  /// next one, so none is lost. Readers are never blocked: they keep the
+  /// previous buffer until the O(1) pointer swap. Returns the new epoch.
   std::uint64_t publish(runtime::ThreadPool* pool = nullptr);
+
+  /// What the most recent publish() rebuilt (zeros before the first).
+  PublishStats last_publish_stats() const;
 
   /// The latest published map (epoch 0 / empty views before the first
   /// publish). O(1): a shared_ptr copy under a pointer mutex.
@@ -207,6 +226,9 @@ class MapService {
   std::vector<core::FusionGrid> grids_;        ///< per road
   std::vector<std::size_t> cells_per_tile_;    ///< per road
   std::vector<std::size_t> tiles_per_road_;    ///< per road
+  /// Per road, per tile: the owning shard (tile_hash % n_shards), fixed
+  /// between build_shards() calls.
+  std::vector<std::vector<std::uint32_t>> tile_shard_;
   std::size_t n_tiles_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -216,6 +238,7 @@ class MapService {
   mutable std::mutex snap_mu_;     ///< guards the published pointer only
   std::shared_ptr<const ServiceSnapshot> published_;
   std::uint64_t epoch_ = 0;  ///< guarded by snap_mu_
+  PublishStats publish_stats_;  ///< guarded by snap_mu_
 };
 
 }  // namespace rge::service

@@ -127,6 +127,20 @@ bool snapshots_bit_identical(const service::ServiceSnapshot& a,
   return true;
 }
 
+/// Every road of the service's current snapshot equals its audit-path
+/// view (merged_accumulator finalized) bit for bit: a publish that reused
+/// a stale view for a road ingested into since would break this.
+bool views_match_merged(const service::MapService& svc) {
+  const auto snap = svc.snapshot();
+  if (snap->roads.size() != svc.n_roads()) return false;
+  for (service::RoadId r = 0; r < svc.n_roads(); ++r) {
+    if (!views_bit_identical(snap->roads[r], svc.merged_road_view(r))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // ---- simulation ---------------------------------------------------------
 
 /// Simulate device i's trip and trace, fold the terrain's GPS environment
@@ -446,12 +460,19 @@ void run_service_stage(FuzzReport& report, const road::RoadNetwork& network,
                                                   uploads.begin() + half);
     const std::vector<service::TrackUpload> rest(uploads.begin() + half,
                                                  uploads.end());
+    const auto check_reuse = [&](const char* when) {
+      check(report, views_match_merged(svc),
+            std::string("service: published view differs from merged view ") +
+                when);
+    };
     svc.ingest(first);
     const std::uint64_t epoch1 = svc.publish();
+    check_reuse("after the first half");
     const auto snap1 = svc.snapshot();
     const std::uint64_t sum1 = snapshot_checksum(*snap1);
     svc.ingest(rest);
     const std::uint64_t epoch2 = svc.publish();
+    check_reuse("after the second half");
     const auto snap2 = svc.snapshot();
     check(report, epoch2 > epoch1, "service: epoch not monotone");
     check(report, snapshot_checksum(*snap1) == sum1,
@@ -480,6 +501,7 @@ void run_service_stage(FuzzReport& report, const road::RoadNetwork& network,
     const std::uint64_t ingested_before = svc.total_samples_ingested();
     svc.rebalance(opts.shard_counts.front());
     svc.publish();
+    check_reuse("after rebalance");
     const auto snap3 = svc.snapshot();
     check(report, reference && snapshots_bit_identical(*reference, *snap3),
           "service: rebalanced split-batch snapshot differs from reference");
@@ -544,6 +566,8 @@ void run_service_stage(FuzzReport& report, const road::RoadNetwork& network,
     const auto final_snap = svc.snapshot();
     check(report, race_violations.empty(),
           race_violations.empty() ? "" : "concurrent: " + race_violations[0]);
+    check(report, views_match_merged(svc),
+          "concurrent: final publish differs from merged views (lost mark)");
     check(report, svc.total_samples_ingested() == reference_ingested,
           "concurrent: sample counter differs from reference");
     bool coverage_exact = final_snap->roads.size() == reference->roads.size();

@@ -11,6 +11,7 @@
 // under TSan via the tsan-runtime preset).
 #include "service/map_service.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -24,6 +25,7 @@
 
 #include "core/track_fusion.hpp"
 #include "math/angles.hpp"
+#include "obs/obs.hpp"
 #include "road/network.hpp"
 #include "road/road.hpp"
 #include "runtime/thread_pool.hpp"
@@ -96,6 +98,15 @@ void expect_snapshots_identical(const ServiceSnapshot& a,
   ASSERT_EQ(a.roads.size(), b.roads.size());
   for (std::size_t r = 0; r < a.roads.size(); ++r) {
     expect_views_identical(a.roads[r], b.roads[r]);
+  }
+}
+
+/// Every road of the current snapshot equals the audit path's view.
+void expect_views_match_merged(const MapService& svc) {
+  const auto snap = svc.snapshot();
+  ASSERT_EQ(snap->roads.size(), svc.n_roads());
+  for (RoadId r = 0; r < svc.n_roads(); ++r) {
+    expect_views_identical(snap->roads[r], svc.merged_road_view(r));
   }
 }
 
@@ -355,6 +366,137 @@ TEST(MapService, RebalancePreservesThePublishedMapBitExact) {
   svc.publish();
 }
 
+// ---- incremental publish: rebuild only the roads ingested into ---------
+
+TEST(MapService, PublishWithoutIngestRebuildsNothing) {
+  const road::RoadNetwork net = small_city();
+  MapService svc(net, base_config(4));
+  EXPECT_EQ(svc.last_publish_stats().roads_rebuilt, 0u);
+  svc.ingest(synth_fleet(net, 40, 5));
+  EXPECT_EQ(svc.publish(), 1u);
+  // The first publish after construction rebuilds every road.
+  EXPECT_EQ(svc.last_publish_stats().roads_rebuilt, net.size());
+  std::size_t covered = 0;
+  for (const auto& view : svc.snapshot()->roads) covered += view.size();
+  EXPECT_EQ(svc.last_publish_stats().cells_rebuilt, covered);
+  const auto first = svc.snapshot();
+
+  EXPECT_EQ(svc.publish(), 2u);
+  EXPECT_EQ(svc.last_publish_stats().roads_rebuilt, 0u);
+  EXPECT_EQ(svc.last_publish_stats().cells_rebuilt, 0u);
+  const auto second = svc.snapshot();
+  EXPECT_EQ(second->epoch, 2u);
+  expect_snapshots_identical(*second, *first);
+  expect_views_match_merged(svc);
+}
+
+TEST(MapService, IngestOneRebuildsExactlyItsRoad) {
+  const road::RoadNetwork net = small_city();
+  const auto fleet = synth_fleet(net, 30, 11);
+  MapService svc(net, base_config(4));
+  svc.ingest(fleet);
+  svc.publish();
+  const auto before = svc.snapshot();
+
+  const RoadId r = fleet.front().road;
+  svc.ingest_one(fleet.front());
+  svc.publish();
+  const PublishStats stats = svc.last_publish_stats();
+  EXPECT_EQ(stats.roads_rebuilt, 1u);
+  EXPECT_EQ(stats.cells_rebuilt, svc.merged_road_view(r).size());
+  const auto after = svc.snapshot();
+  for (RoadId q = 0; q < svc.n_roads(); ++q) {
+    if (q == r) {
+      // The re-ingested upload doubled its cells' coverage.
+      EXPECT_NE(after->roads[q].coverage, before->roads[q].coverage);
+    } else {
+      expect_views_identical(after->roads[q], before->roads[q]);
+    }
+  }
+  expect_views_match_merged(svc);
+}
+
+TEST(MapService, RebalanceForcesOneFullRebuild) {
+  const road::RoadNetwork net = small_city();
+  MapService svc(net, base_config(4));
+  svc.ingest(synth_fleet(net, 50, 13));
+  svc.publish();
+  const auto before = svc.snapshot();
+  for (const std::size_t new_shards : {16u, 1u, 4u}) {
+    svc.rebalance(new_shards);
+    svc.publish();
+    EXPECT_EQ(svc.last_publish_stats().roads_rebuilt, net.size());
+    expect_snapshots_identical(*svc.snapshot(), *before);
+    expect_views_match_merged(svc);
+    svc.publish();
+    EXPECT_EQ(svc.last_publish_stats().roads_rebuilt, 0u);
+  }
+}
+
+TEST(MapService, SparseBatchesMatchMergedViewsEveryEpoch) {
+  // Small batches touching 1-3 roads each leave most roads clean, so
+  // nearly every view of every epoch comes from the reuse path; each must
+  // still equal the audit path's view bit for bit, for every layout.
+  const road::RoadNetwork net = small_city();
+  const auto fleet = synth_fleet(net, 60, 19);
+  std::vector<std::vector<TrackUpload>> batches;
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<std::size_t> n_roads(1, 3);
+  std::uniform_int_distribution<RoadId> pick(
+      0, static_cast<RoadId>(net.size() - 1));
+  for (std::size_t b = 0; b < 12; ++b) {
+    std::vector<RoadId> roads(n_roads(rng));
+    for (RoadId& r : roads) r = pick(rng);
+    std::vector<TrackUpload> batch;
+    for (const auto& up : fleet) {
+      if (std::find(roads.begin(), roads.end(), up.road) != roads.end()) {
+        batch.push_back(up);
+      }
+    }
+    batches.push_back(std::move(batch));
+  }
+
+  for (const std::size_t n_shards : {1u, 4u, 16u}) {
+    for (const std::size_t n_threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("shards " + std::to_string(n_shards) + " threads " +
+                   std::to_string(n_threads));
+      runtime::ThreadPool pool(n_threads);
+      MapService svc(net, base_config(n_shards));
+      svc.publish(&pool);
+      for (const auto& batch : batches) {
+        svc.ingest(batch, &pool);
+        svc.publish(&pool);
+        std::vector<RoadId> touched;
+        for (const auto& up : batch) touched.push_back(up.road);
+        std::sort(touched.begin(), touched.end());
+        touched.erase(std::unique(touched.begin(), touched.end()),
+                      touched.end());
+        EXPECT_EQ(svc.last_publish_stats().roads_rebuilt, touched.size());
+        expect_views_match_merged(svc);
+      }
+    }
+  }
+}
+
+TEST(MapServiceObs, OnePublishRecordsOneSpanPerPhase) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const road::RoadNetwork net = small_city();
+  MapService svc(net, base_config(4));
+  svc.ingest(synth_fleet(net, 10, 29));
+  obs::clear_trace();
+  obs::set_tracing(true);
+  svc.publish();
+  obs::set_tracing(false);
+  const auto totals = obs::span_totals();
+  obs::clear_trace();
+  for (const char* name :
+       {"service.publish", "service.publish.finalize",
+        "service.publish.stitch"}) {
+    ASSERT_EQ(totals.count(name), 1u) << name;
+    EXPECT_EQ(totals.at(name).count, 1) << name;
+  }
+}
+
 TEST(MapService, MatcherIsServedFromTheHomeShardCache) {
   const road::RoadNetwork net = small_city();
   MapService svc(net, base_config(4));
@@ -384,6 +526,7 @@ TEST(MapService, RejectsBadInputs) {
   EXPECT_THROW(svc.ingest({up}), std::out_of_range);
   EXPECT_THROW(svc.ingest_one(up), std::out_of_range);
   EXPECT_THROW(svc.rebalance(0), std::invalid_argument);
+  EXPECT_THROW(svc.shard_of_tile(0, svc.tiles_of(0)), std::out_of_range);
   EXPECT_THROW(svc.matcher(static_cast<RoadId>(net.size())),
                std::out_of_range);
 }
@@ -450,6 +593,9 @@ TEST(MapService, ConcurrentIngestPublishSnapshotIsSafe) {
 
   svc.publish();
   serial.publish();
+  // Writers are quiesced, so the final publish must have picked up every
+  // road a concurrent upload marked: a lost mark leaves a stale view.
+  expect_views_match_merged(svc);
   const auto a = svc.snapshot();
   const auto b = serial.snapshot();
   ASSERT_EQ(a->roads.size(), b->roads.size());

@@ -3,8 +3,9 @@
 //   * deterministic batch ingest of a 2,000-vehicle fleet across 8 shards
 //     on a 4-thread pool must sustain >= 1M fixes/sec (conservative: the
 //     bench measures tens of millions);
-//   * publish() — per-shard finalize plus the ordered merge and pointer
-//     swap — must come in under 250 ms at p99 on the city network;
+//   * publish() — per-shard finalize of the rebuilt roads plus the tile
+//     stitch and pointer swap — must come in under 250 ms at p99 on the
+//     city network;
 //   * snapshot() is the reader path (shared_ptr copy under a pointer
 //     mutex) and must stay under 200 us at p99;
 //   * the published sharded map must be bit-identical to a single-shard
