@@ -12,7 +12,11 @@
 //   * the paper's 164.8 km Table-III network (Fig. 7(a)): the routing
 //     graph is stitched from *fused* grade profiles produced by one
 //     simulated phone trip per road through the full estimation pipeline,
-//     then queried the same way.
+//     then queried the same way;
+//   * an ~800 km network at e2ebench `routes` scale (ground-truth grades):
+//     freeze only, median of repeated freezes. Road networks split into
+//     ~250 m edges are mostly chain interiors, which the landmark sweeps
+//     walk instead of heaping (`chain_nodes`).
 //
 // Every ALT query is checked bit-identical (cost and path) to plain
 // Dijkstra as it is timed — the speedups below are for provably exact
@@ -115,6 +119,21 @@ QueryRun run_queries(const planning::CsrGraph& csr,
   return run;
 }
 
+/// Freeze cost and chain compression of one frozen graph.
+testing::Json::Object freeze_json(const planning::CsrGraph& csr,
+                                  double freeze_ms) {
+  const planning::BuildStats& st = csr.build_stats();
+  return testing::Json::Object{
+      {"nodes", csr.node_count()},
+      {"edges", csr.edge_count()},
+      {"landmarks_per_metric", csr.landmark_count()},
+      {"freeze_ms", freeze_ms},
+      {"cost_tables_ms", st.cost_tables_ms},
+      {"landmarks_ms", st.landmarks_ms},
+      {"chain_nodes", st.chain_nodes},
+  };
+}
+
 testing::Json::Object to_json(const QueryRun& r) {
   return testing::Json::Object{
       {"mean_ms", r.mean_ms},   {"p50_ms", r.p50_ms},
@@ -146,18 +165,12 @@ int main(int argc, char** argv) {
   const planning::CsrGraph csr(city);
   const double freeze_ms = ms_since(t_freeze);
   std::printf("osm city: %zu nodes, %zu edges; frozen in %.1f ms "
-              "(cost tables %.1f ms, %zu landmarks/metric in %.1f ms)\n",
+              "(cost tables %.1f ms, %zu landmarks/metric in %.1f ms, "
+              "%zu chain nodes)\n",
               csr.node_count(), csr.edge_count(), freeze_ms,
               csr.build_stats().cost_tables_ms, csr.landmark_count(),
-              csr.build_stats().landmarks_ms);
-  doc["osm_city"] = testing::Json::Object{
-      {"nodes", csr.node_count()},
-      {"edges", csr.edge_count()},
-      {"landmarks_per_metric", csr.landmark_count()},
-      {"freeze_ms", freeze_ms},
-      {"cost_tables_ms", csr.build_stats().cost_tables_ms},
-      {"landmarks_ms", csr.build_stats().landmarks_ms},
-  };
+              csr.build_stats().landmarks_ms, csr.build_stats().chain_nodes);
+  doc["osm_city"] = freeze_json(csr, freeze_ms);
 
   const auto pairs = random_pairs(city.node_count(), 1000, 2718);
 
@@ -311,9 +324,12 @@ int main(int argc, char** argv) {
     const double net_freeze_ms = ms_since(t_freeze3);
     std::printf("\ntable-III network: %zu roads / %.1f km surveyed in "
                 "%.0f ms (1 trip/road, full pipeline); graph %zu nodes, "
-                "%zu edges, frozen in %.1f ms\n",
+                "%zu edges, frozen in %.1f ms (landmarks %.1f ms, %zu "
+                "chain nodes)\n",
                 net.size(), net.total_length_m() / 1000.0, survey_ms,
-                net_csr.node_count(), net_csr.edge_count(), net_freeze_ms);
+                net_csr.node_count(), net_csr.edge_count(), net_freeze_ms,
+                net_csr.build_stats().landmarks_ms,
+                net_csr.build_stats().chain_nodes);
 
     const auto net_pairs = random_pairs(g.node_count(), 1000, 31415);
     std::vector<planning::RouteGraph::Route> net_dij(net_pairs.size());
@@ -331,17 +347,50 @@ int main(int argc, char** argv) {
                 "(%.1fx), alt p99 %.4f ms, 0 mismatches in %zu pairs\n",
                 dij.mean_ms, alt.mean_ms, dij.mean_ms / alt.mean_ms,
                 alt.p99_ms, net_pairs.size());
-    doc["table3_network"] = testing::Json::Object{
+    testing::Json::Object t3 = freeze_json(net_csr, net_freeze_ms);
+    t3["roads"] = net.size();
+    t3["total_km"] = net.total_length_m() / 1000.0;
+    t3["survey_ms"] = survey_ms;
+    t3["trips_per_road"] = 1;
+    t3["fuel_dijkstra"] = to_json(dij);
+    t3["fuel_alt"] = to_json(alt);
+    t3["alt_speedup_vs_dijkstra"] = dij.mean_ms / alt.mean_ms;
+    doc["table3_network"] = std::move(t3);
+  }
+
+  // ===== routes-scale network (freeze only) ==============================
+  {
+    constexpr int kFreezes = 15;
+    const road::RoadNetwork net = road::make_city_network(2026, 800.0);
+    const planning::RouteGraph g = planning::build_network_graph(
+        net, testing::survey_network_grades(net, 0, 9000, 25.0), 25.0);
+    std::vector<double> freeze, cost_tables, landmarks;
+    std::size_t chain_nodes = 0;
+    for (int i = 0; i < kFreezes; ++i) {
+      const auto t0 = Clock::now();
+      const planning::CsrGraph rcsr(g);
+      freeze.push_back(ms_since(t0));
+      cost_tables.push_back(rcsr.build_stats().cost_tables_ms);
+      landmarks.push_back(rcsr.build_stats().landmarks_ms);
+      chain_nodes = rcsr.build_stats().chain_nodes;
+    }
+    std::printf("\nroutes-scale network: %zu roads / %.1f km; graph %zu "
+                "nodes (%zu chain nodes), %zu edges; median of %d freezes "
+                "%.2f ms (cost tables %.2f ms, landmarks %.2f ms)\n",
+                net.size(), net.total_length_m() / 1000.0, g.node_count(),
+                chain_nodes, g.edge_count(), kFreezes,
+                percentile(freeze, 0.5), percentile(cost_tables, 0.5),
+                percentile(landmarks, 0.5));
+    doc["routes_network"] = testing::Json::Object{
         {"roads", net.size()},
         {"total_km", net.total_length_m() / 1000.0},
-        {"survey_ms", survey_ms},
-        {"trips_per_road", 1},
-        {"nodes", net_csr.node_count()},
-        {"edges", net_csr.edge_count()},
-        {"freeze_ms", net_freeze_ms},
-        {"fuel_dijkstra", to_json(dij)},
-        {"fuel_alt", to_json(alt)},
-        {"alt_speedup_vs_dijkstra", dij.mean_ms / alt.mean_ms},
+        {"nodes", g.node_count()},
+        {"edges", g.edge_count()},
+        {"chain_nodes", chain_nodes},
+        {"freezes", kFreezes},
+        {"freeze_ms_p50", percentile(freeze, 0.5)},
+        {"cost_tables_ms_p50", percentile(cost_tables, 0.5)},
+        {"landmarks_ms_p50", percentile(landmarks, 0.5)},
     };
   }
 

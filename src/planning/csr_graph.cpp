@@ -12,6 +12,8 @@ namespace rge::planning {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::uint32_t kChainEnd =
+    std::numeric_limits<std::uint32_t>::max();
 
 double ms_since(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double, std::milli>(
@@ -99,13 +101,57 @@ class NodeHeap {
   std::vector<std::uint32_t> pos_;
 };
 
+// A chain interior has exactly two neighbours, linked both ways: out- and
+// in-degree 2 over the same pair {a, b}, with a != b and neither the node
+// itself. The definition is symmetric, so both CSR directions agree.
+bool is_chain_interior(std::uint32_t v,
+                       const std::vector<std::uint32_t>& offsets,
+                       const std::vector<std::uint32_t>& head,
+                       const std::vector<std::uint32_t>& rev_offsets,
+                       const std::vector<std::uint32_t>& rev_head) {
+  const std::uint32_t lo = offsets[v];
+  const std::uint32_t rlo = rev_offsets[v];
+  if (offsets[v + 1] - lo != 2 || rev_offsets[v + 1] - rlo != 2) return false;
+  const std::uint32_t a = head[lo];
+  const std::uint32_t b = head[lo + 1];
+  const std::uint32_t c = rev_head[rlo];
+  const std::uint32_t d = rev_head[rlo + 1];
+  return a != b && a != v && b != v &&
+         ((a == c && b == d) || (a == d && b == c));
+}
+
+// Chain continuations over one CSR direction: for a position u -> v whose
+// head v is a chain interior, the out-position of v that does not lead
+// back to u; kChainEnd everywhere else.
+std::vector<std::uint32_t> chain_next(
+    const std::vector<std::uint32_t>& offsets,
+    const std::vector<std::uint32_t>& head,
+    const std::vector<std::uint8_t>& interior) {
+  std::vector<std::uint32_t> next(head.size(), kChainEnd);
+  const std::size_t n = offsets.size() - 1;
+  for (std::uint32_t u = 0; u < n; ++u) {
+    for (std::uint32_t p = offsets[u]; p < offsets[u + 1]; ++p) {
+      const std::uint32_t v = head[p];
+      if (!interior[v]) continue;
+      const std::uint32_t lo = offsets[v];
+      next[p] = head[lo] == u ? lo + 1 : lo;
+    }
+  }
+  return next;
+}
+
 // Single-source shortest-path costs from `src` over one CSR direction:
 // out[v] = d(src, v), +inf where unreachable. Costs are strictly positive,
 // so a settled node is never improved again and one heap entry per node
-// suffices.
+// suffices. `next` holds the chain continuations (chain_next): a
+// relaxation that lands on a chain interior walks on along the chain,
+// accumulating edge by edge as Dijkstra would, instead of heaping the
+// node; the walk stops where it no longer improves, and only the junction
+// at the chain's far end is heaped. Interior nodes enter the heap only as
+// the source. DESIGN.md §9 shows why the result is bit-identical.
 void sweep(const std::uint32_t* offsets, const std::uint32_t* head,
-           const double* cost, std::uint32_t src, std::size_t n, double* out,
-           NodeHeap& heap) {
+           const std::uint32_t* next, const double* cost, std::uint32_t src,
+           std::size_t n, double* out, NodeHeap& heap) {
   std::fill(out, out + n, kInf);
   out[src] = 0.0;
   heap.push_or_decrease(src, out);
@@ -114,12 +160,19 @@ void sweep(const std::uint32_t* offsets, const std::uint32_t* head,
     const double du = out[u];
     const std::uint32_t hi = offsets[u + 1];
     for (std::uint32_t p = offsets[u]; p < hi; ++p) {
-      const std::uint32_t v = head[p];
-      const double nd = du + cost[p];
-      if (nd < out[v]) {
+      std::uint32_t v = head[p];
+      double nd = du + cost[p];
+      if (!(nd < out[v])) continue;
+      out[v] = nd;
+      std::uint32_t q = next[p];
+      while (q != kChainEnd) {  // v is a chain interior: walk on
+        nd += cost[q];
+        v = head[q];
+        if (!(nd < out[v])) break;
         out[v] = nd;
-        heap.push_or_decrease(v, out);
+        q = next[q];
       }
+      if (q == kChainEnd) heap.push_or_decrease(v, out);
     }
   }
 }
@@ -307,11 +360,24 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
   const std::size_t k = std::min(alt.landmarks, n);
   if (k == 0) return;
 
+  // Chain structure, shared by every sweep of every metric.
+  std::vector<std::uint8_t> interior(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    interior[v] =
+        is_chain_interior(v, offsets_, head_, rev_offsets_, rev_head_);
+    build_stats_.chain_nodes += interior[v];
+  }
+  const std::vector<std::uint32_t> fwd_next =
+      chain_next(offsets_, head_, interior);
+  const std::vector<std::uint32_t> rev_next =
+      chain_next(rev_offsets_, rev_head_, interior);
+
   NodeHeap heap(n);
   auto run_sweep = [&](const std::vector<std::uint32_t>& offsets,
                        const std::vector<std::uint32_t>& head,
+                       const std::vector<std::uint32_t>& next,
                        const double* cost, std::uint32_t src, double* out) {
-    sweep(offsets.data(), head.data(), cost, src, n, out, heap);
+    sweep(offsets.data(), head.data(), next.data(), cost, src, n, out, heap);
     ++build_stats_.landmark_sweeps;
   };
 
@@ -329,7 +395,7 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
     // Ties break to the lower internal id so selection is deterministic.
     // Each landmark's selection sweep is written straight into its
     // d(L, .) row, so no forward sweep runs twice.
-    run_sweep(offsets_, head_, cost, 0, seed.data());
+    run_sweep(offsets_, head_, fwd_next, cost, 0, seed.data());
     std::uint32_t next = 0;
     double best = -1.0;
     for (std::uint32_t v = 0; v < n; ++v) {
@@ -342,7 +408,7 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
     while (lms.size() < k) {
       double* row = from.data() + lms.size() * n;
       lms.push_back(next);
-      run_sweep(offsets_, head_, cost, next, row);
+      run_sweep(offsets_, head_, fwd_next, cost, next, row);
       double far = -1.0;
       std::uint32_t far_node = kNoEdge;
       for (std::uint32_t v = 0; v < n; ++v) {
@@ -365,7 +431,7 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
     auto& to = land_to_[mi];
     to.resize(lms.size() * n);
     for (std::size_t li = 0; li < lms.size(); ++li) {
-      run_sweep(rev_offsets_, rev_head_, rev_cost.data(), lms[li],
+      run_sweep(rev_offsets_, rev_head_, rev_next, rev_cost.data(), lms[li],
                 to.data() + li * n);
     }
   }
@@ -410,6 +476,24 @@ std::vector<std::size_t> CsrGraph::landmarks(Metric m) const {
     out.push_back(original_of_[v]);
   }
   return out;
+}
+
+double CsrGraph::distance_from_landmark(Metric m, std::size_t index,
+                                        std::size_t node) const {
+  const int mi = static_cast<int>(m);
+  if (index >= landmarks_[mi].size() || node >= internal_of_.size()) {
+    throw std::invalid_argument("CsrGraph::distance_from_landmark: bad id");
+  }
+  return land_from_[mi][index * node_count() + internal_of_[node]];
+}
+
+double CsrGraph::distance_to_landmark(Metric m, std::size_t index,
+                                      std::size_t node) const {
+  const int mi = static_cast<int>(m);
+  if (index >= landmarks_[mi].size() || node >= internal_of_.size()) {
+    throw std::invalid_argument("CsrGraph::distance_to_landmark: bad id");
+  }
+  return land_to_[mi][index * node_count() + internal_of_[node]];
 }
 
 double CsrGraph::potential(Metric m, std::size_t node,

@@ -27,13 +27,16 @@
 // admissibility; each metric gets its own landmark selection and distance
 // tables instead.
 //
-// Preprocessing runs 1 + 2k single-source sweeps per metric on an indexed
-// 4-ary heap: a seed sweep from node 0, one forward sweep per landmark
-// during farthest-point selection (written straight into that landmark's
-// d(L, .) row, so selection and forward tables share their sweeps), and k
-// sweeps over the reverse CSR for d(., L). With strictly positive costs a
-// Dijkstra result does not depend on heap order, so the tables are the
-// same bits any correct Dijkstra would produce (DESIGN.md §9).
+// Preprocessing runs 1 + 2k single-source sweeps per metric: a seed sweep
+// from node 0, one forward sweep per landmark during farthest-point
+// selection (written straight into that landmark's d(L, .) row, so
+// selection and forward tables share their sweeps), and k sweeps over the
+// reverse CSR for d(., L). Junctions go through an indexed 4-ary heap;
+// chain interiors (two neighbours, linked both ways: most nodes of a road
+// network split into short edges) are walked along their chain instead,
+// accumulating edge by edge. With strictly positive costs a Dijkstra
+// result depends neither on heap order nor on the walks, so the tables
+// are the same bits any correct Dijkstra would produce (DESIGN.md §9).
 //
 // Queries are read-only and thread-safe: the graph is immutable after
 // construction, and all mutable search state lives in a caller-owned
@@ -91,6 +94,9 @@ struct BuildStats {
   /// Single-source sweeps run by this freeze: 1 + 2k per metric, with k
   /// the landmarks actually chosen.
   std::size_t landmark_sweeps = 0;
+  /// Chain interiors: nodes the sweeps walk along their chain instead of
+  /// heaping (0 when ALT is off).
+  std::size_t chain_nodes = 0;
 };
 
 class CsrGraph;
@@ -144,6 +150,14 @@ class CsrGraph {
 
   /// Landmark nodes for a metric, as original node ids (for reporting).
   std::vector<std::size_t> landmarks(Metric m) const;
+
+  /// Landmark table entries d(L, node) and d(node, L) for L =
+  /// landmarks(m)[index] (original ids), +inf where unreachable. Exposed
+  /// for the exact-table tests.
+  double distance_from_landmark(Metric m, std::size_t index,
+                                std::size_t node) const;
+  double distance_to_landmark(Metric m, std::size_t index,
+                              std::size_t node) const;
 
   /// ALT potential: a lower bound on the `m`-cost from `node` to `target`
   /// (original ids). Exposed for admissibility tests.

@@ -2,16 +2,20 @@
 // cost-table exactness vs the pluggable cost functions, bit-identical
 // cost/path parity between plain Dijkstra, ALT, and the std::function
 // Dijkstra oracle, deterministic tie-breaking, potential
-// admissibility, exact and golden landmark tables, the freeze's sweep
-// count and obs spans, and thread-safety of concurrent queries over one
+// admissibility, exact and golden landmark tables (on OSM grids and on
+// chain-heavy road networks, where most landmark-sweep nodes are chain
+// interiors walked instead of heaped), the freeze's sweep and chain-node
+// counts and obs spans, and thread-safety of concurrent queries over one
 // shared graph (the CsrGraphConcurrency suite runs under the tsan-runtime
 // preset).
 #include "planning/csr_graph.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +26,9 @@
 #include "obs/obs.hpp"
 #include "oracles/dijkstra.hpp"
 #include "planning/city_gen.hpp"
+#include "road/network.hpp"
 #include "runtime/thread_pool.hpp"
+#include "testing/network_survey.hpp"
 
 namespace rge::planning {
 namespace {
@@ -368,6 +374,180 @@ TEST(CsrGraph, LandmarksAndPotentialsMatchGoldenValues) {
     std::uint64_t h = 14695981039346656037ull;
     for (std::size_t v = 0; v < g.node_count(); v += 5) {
       for (std::size_t t = 0; t < g.node_count(); t += 7) {
+        h = fnv1a(h, csr.potential(m, v, t));
+      }
+    }
+    EXPECT_EQ(csr.landmarks(m), golden_landmarks[mi]) << metric_name(m);
+    EXPECT_EQ(h, golden_fingerprint[mi]) << metric_name(m);
+  }
+}
+
+// ---- chain-heavy graphs: the sweeps' chain walks ------------------------
+
+// The Table-III network split into ~250 m edges with ground-truth grades:
+// most nodes are chain interiors (two neighbours, linked both ways).
+RouteGraph table3_network_graph() {
+  const road::RoadNetwork net = road::make_city_network(2019);
+  return build_network_graph(
+      net, testing::survey_network_grades(net, 0, 9000, 25.0), 25.0);
+}
+
+RouteGraph reversed_graph(const RouteGraph& g) {
+  RouteGraph reversed(g.node_count());
+  for (std::size_t ei = 0; ei < g.edge_count(); ++ei) {
+    Edge e = g.edge(ei);
+    std::swap(e.from, e.to);
+    reversed.add_edge(std::move(e));
+  }
+  return reversed;
+}
+
+// The chain-interior definition, restated over the RouteGraph: out- and
+// in-degree 2 over the same neighbour pair {a, b}, a != b, neither v.
+std::vector<bool> chain_interiors(const RouteGraph& g) {
+  std::vector<std::vector<std::size_t>> outs(g.node_count());
+  std::vector<std::vector<std::size_t>> ins(g.node_count());
+  for (std::size_t ei = 0; ei < g.edge_count(); ++ei) {
+    outs[g.edge(ei).from].push_back(g.edge(ei).to);
+    ins[g.edge(ei).to].push_back(g.edge(ei).from);
+  }
+  std::vector<bool> interior(g.node_count());
+  for (std::size_t v = 0; v < g.node_count(); ++v) {
+    auto& o = outs[v];
+    auto& i = ins[v];
+    std::sort(o.begin(), o.end());
+    std::sort(i.begin(), i.end());
+    interior[v] = o.size() == 2 && o == i && o[0] != o[1] && o[0] != v &&
+                  o[1] != v;
+  }
+  return interior;
+}
+
+// Every d(L, .) and d(., L) entry must equal the oracle's shortest-path
+// cost bit for bit (+inf where unreachable). A d(., L) row accumulates
+// from L's end of the path, so its reference is a query from L on the
+// edge-reversed graph.
+void expect_exact_landmark_rows(const RouteGraph& g, const CsrGraph& csr) {
+  const RouteGraph reversed = reversed_graph(g);
+  for (const Metric m : kAllMetrics) {
+    const auto cost = metric_cost(m, CostModel{});
+    const auto lms = csr.landmarks(m);
+    for (std::size_t li = 0; li < lms.size(); ++li) {
+      for (std::size_t t = 0; t < g.node_count(); ++t) {
+        const auto from_l = shortest_path(g, lms[li], t, cost);
+        const auto to_l = shortest_path(reversed, lms[li], t, cost);
+        constexpr double kInfCost = std::numeric_limits<double>::infinity();
+        EXPECT_EQ(csr.distance_from_landmark(m, li, t),
+                  from_l.found ? from_l.cost : kInfCost)
+            << metric_name(m) << " L=" << lms[li] << " t=" << t;
+        EXPECT_EQ(csr.distance_to_landmark(m, li, t),
+                  to_l.found ? to_l.cost : kInfCost)
+            << metric_name(m) << " L=" << lms[li] << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST(CsrGraphChains, NetworkGraphLandmarkTablesAreExact) {
+  const RouteGraph g = table3_network_graph();
+  const CsrGraph csr(g);
+  const std::vector<bool> interior = chain_interiors(g);
+  const auto n_interior = static_cast<std::size_t>(
+      std::count(interior.begin(), interior.end(), true));
+  EXPECT_EQ(csr.build_stats().chain_nodes, n_interior);
+  EXPECT_GT(n_interior * 10, g.node_count() * 9);
+  std::size_t interior_landmarks = 0;
+  std::size_t total_landmarks = 0;
+  for (const Metric m : kAllMetrics) {
+    for (const std::size_t lm : csr.landmarks(m)) {
+      interior_landmarks += interior[lm] ? 1 : 0;
+      ++total_landmarks;
+    }
+  }
+  EXPECT_GT(interior_landmarks * 2, total_landmarks);
+  expect_exact_landmark_rows(g, csr);
+}
+
+TEST(CsrGraphChains, HandBuiltChainCasesMatchOracleRows) {
+  // 0 and 1 are junctions joined by a direct road and by a two-way chain
+  // through interiors 2-3-4; graded edges make every metric but distance
+  // direction-dependent. Around them, nodes that must stay junctions:
+  //   * 6, 7: a one-way chain 1 -> 6 -> 7 -> 0 (degree 1 each way);
+  //   * 8: parallel edges 1 -> 8 twice, out to 1 and 9 (in-set {1, 1});
+  //   * 10: both neighbours are node 5, two roads each way (a == b);
+  //   * 5: three neighbours.
+  RouteGraph g(11);
+  g.add_bidirectional(make_edge(0, 2, 130.0, 0.03));
+  g.add_bidirectional(make_edge(2, 3, 170.0, -0.02));
+  g.add_bidirectional(make_edge(3, 4, 90.0, 0.05));
+  g.add_bidirectional(make_edge(4, 1, 210.0, -0.04));
+  g.add_bidirectional(make_edge(0, 1, 520.0, 0.01));
+  g.add_bidirectional(make_edge(0, 5, 80.0, -0.03));
+  g.add_bidirectional(make_edge(5, 10, 110.0, 0.02));
+  g.add_bidirectional(make_edge(5, 10, 140.0, 0.01));
+  g.add_edge(make_edge(1, 6, 150.0, 0.02));
+  g.add_edge(make_edge(6, 7, 140.0, -0.01));
+  g.add_edge(make_edge(7, 0, 160.0, 0.04));
+  g.add_edge(make_edge(1, 8, 100.0, -0.02));
+  g.add_edge(make_edge(1, 8, 120.0, 0.03));
+  g.add_edge(make_edge(8, 1, 100.0, 0.02));
+  g.add_edge(make_edge(8, 9, 60.0, 0.01));
+  g.add_edge(make_edge(9, 0, 300.0, -0.05));
+  const CsrGraph csr(g);
+  EXPECT_EQ(csr.build_stats().chain_nodes, 3u);
+  const std::vector<bool> interior = chain_interiors(g);
+  for (std::size_t v = 0; v < g.node_count(); ++v) {
+    EXPECT_EQ(interior[v], v >= 2 && v <= 4) << "node " << v;
+  }
+  for (const Metric m : kAllMetrics) {
+    const auto lms = csr.landmarks(m);
+    EXPECT_TRUE(std::any_of(lms.begin(), lms.end(),
+                            [&](std::size_t v) { return interior[v]; }))
+        << metric_name(m) << ": no interior landmark";
+  }
+  expect_exact_landmark_rows(g, csr);
+  EXPECT_THROW(csr.distance_from_landmark(Metric::kFuel, csr.landmark_count(),
+                                          0),
+               std::invalid_argument);
+  EXPECT_THROW(csr.distance_to_landmark(Metric::kFuel, 0, g.node_count()),
+               std::invalid_argument);
+
+  // An isolated all-interior ring: every sweep starts on an interior node
+  // and its two walks end back at the source, with no junction to heap.
+  RouteGraph ring(5);
+  ring.add_bidirectional(make_edge(0, 1, 120.0, 0.02));
+  ring.add_bidirectional(make_edge(1, 2, 95.0, -0.03));
+  ring.add_bidirectional(make_edge(2, 3, 160.0, 0.01));
+  ring.add_bidirectional(make_edge(3, 4, 75.0, 0.04));
+  ring.add_bidirectional(make_edge(4, 0, 140.0, -0.02));
+  const CsrGraph ring_csr(ring);
+  EXPECT_EQ(ring_csr.build_stats().chain_nodes, 5u);
+  expect_exact_landmark_rows(ring, ring_csr);
+
+  AltConfig off;
+  off.landmarks = 0;
+  EXPECT_EQ(CsrGraph(g, CostModel{}, off).build_stats().chain_nodes, 0u);
+}
+
+TEST(CsrGraphChains, NetworkGraphLandmarksAndPotentialsMatchGoldenValues) {
+  // Recorded with heap-only sweeps, before chain walking: the walks must
+  // reproduce the heap-only tables bit for bit.
+  const RouteGraph g = table3_network_graph();
+  const CsrGraph csr(g);
+  const std::vector<std::size_t> golden_landmarks[kMetricCount] = {
+      {214, 162, 445, 550, 382, 69, 260, 90},
+      {215, 159, 446, 116, 323, 71, 262, 16},
+      {519, 174, 446, 383, 551, 53, 260, 69},
+      {519, 174, 446, 383, 551, 53, 260, 69},
+  };
+  const std::uint64_t golden_fingerprint[kMetricCount] = {
+      0xeab5dc6fe1d2e969ull, 0x558e337e15cad58cull, 0x6882d29b9cf1d0bdull,
+      0x82715c37397d0010ull};
+  for (const Metric m : kAllMetrics) {
+    const int mi = static_cast<int>(m);
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::size_t v = 0; v < g.node_count(); v += 3) {
+      for (std::size_t t = 0; t < g.node_count(); t += 5) {
         h = fnv1a(h, csr.potential(m, v, t));
       }
     }
