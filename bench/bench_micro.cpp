@@ -4,15 +4,20 @@
 // against their scalar per-vehicle references. These bound how far the
 // pipeline is from real-time on phone-class sample rates (50 Hz IMU).
 //
-// Besides the console report, the run writes BENCH_micro.json (override
-// the path with RGE_BENCH_MICRO_OUT): per-benchmark ns/op and the
-// scalar-vs-batch fleet speedups, the checked-in perf-trajectory artifact
-// for the batch kernels.
+// Every benchmark runs kDefaultRepetitions times unless the command line
+// sets --benchmark_repetitions. Besides the console report, the run writes
+// BENCH_micro.json (override the path with RGE_BENCH_MICRO_OUT): per
+// benchmark the median, min and max ns/op over the repetitions, and the
+// scalar-vs-batch fleet speedups from the medians — the checked-in
+// perf-trajectory artifact for the batch kernels.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/bump.hpp"
 #include "core/grade_ekf.hpp"
@@ -317,31 +322,56 @@ BENCHMARK(BM_ResampleBatch);
 
 // ---- JSON artifact ------------------------------------------------------
 
-/// Console report plus a ns/op collection that lands in BENCH_micro.json.
+/// Repetitions per benchmark unless --benchmark_repetitions is given: one
+/// run has no spread, and the fleet speedups drift by more than any code
+/// change between single runs.
+constexpr int kDefaultRepetitions = 5;
+
+/// Console report plus the ns/op of every repetition, for BENCH_micro.json.
 class JsonCollectingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     benchmark::ConsoleReporter::ReportRuns(reports);
     for (const Run& run : reports) {
-      if (run.error_occurred) continue;
+      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
       const double iters = static_cast<double>(run.iterations);
       if (iters <= 0.0) continue;
-      ns_per_op_[run.benchmark_name()] =
-          run.real_accumulated_time / iters * 1e9;
+      ns_per_op_[run.benchmark_name()].push_back(
+          run.real_accumulated_time / iters * 1e9);
     }
   }
 
-  const std::map<std::string, double>& ns_per_op() const { return ns_per_op_; }
+  const std::map<std::string, std::vector<double>>& ns_per_op() const {
+    return ns_per_op_;
+  }
 
  private:
-  std::map<std::string, double> ns_per_op_;
+  std::map<std::string, std::vector<double>> ns_per_op_;
 };
 
-void write_bench_json(const std::map<std::string, double>& ns_per_op) {
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t mid = xs.size() / 2;
+  return xs.size() % 2 == 1 ? xs[mid] : 0.5 * (xs[mid - 1] + xs[mid]);
+}
+
+void write_bench_json(
+    const std::map<std::string, std::vector<double>>& ns_per_op) {
   rge::testing::Json::Object doc;
   rge::testing::Json::Object benches;
-  for (const auto& [name, ns] : ns_per_op) benches[name] = ns;
+  std::map<std::string, double> medians;
+  std::size_t repetitions = 0;
+  for (const auto& [name, runs] : ns_per_op) {
+    medians[name] = median(runs);
+    repetitions = std::max(repetitions, runs.size());
+    benches[name] = rge::testing::Json::Object{
+        {"median", medians[name]},
+        {"min", *std::min_element(runs.begin(), runs.end())},
+        {"max", *std::max_element(runs.begin(), runs.end())},
+    };
+  }
   doc["ns_per_op"] = benches;
+  doc["repetitions"] = repetitions;
   doc["simd"] = math::simd_enabled();
   doc["workload"] = rge::testing::Json::Object{
       {"fleet_lanes", kFleetLanes},
@@ -352,9 +382,9 @@ void write_bench_json(const std::map<std::string, double>& ns_per_op) {
   };
   const auto speedup = [&](const char* scalar, const char* batch,
                            const char* key) {
-    const auto s = ns_per_op.find(scalar);
-    const auto b = ns_per_op.find(batch);
-    if (s != ns_per_op.end() && b != ns_per_op.end() && b->second > 0.0) {
+    const auto s = medians.find(scalar);
+    const auto b = medians.find(batch);
+    if (s != medians.end() && b != medians.end() && b->second > 0.0) {
       doc["speedup"][key] = s->second / b->second;
     }
   };
@@ -370,8 +400,15 @@ void write_bench_json(const std::map<std::string, double>& ns_per_op) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Default the repetition count; a --benchmark_repetitions flag given on
+  // the command line comes later in argv and wins.
+  std::string repetitions =
+      "--benchmark_repetitions=" + std::to_string(kDefaultRepetitions);
+  std::vector<char*> args(argv, argv + argc);
+  args.insert(args.begin() + 1, repetitions.data());
+  int n_args = static_cast<int>(args.size());
+  benchmark::Initialize(&n_args, args.data());
+  if (benchmark::ReportUnrecognizedArguments(n_args, args.data())) return 1;
   JsonCollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   write_bench_json(reporter.ns_per_op());

@@ -85,7 +85,7 @@ RouteGraph make_osm_city(const OsmCityConfig& cfg) {
   RouteGraph g(cfg.rows * cfg.cols);
   const double step_target = 25.0;
   auto add_street = [&](std::size_t n1, std::size_t n2, double length,
-                        road::RoadClass cls, std::string name) {
+                        road::RoadClass cls) {
     const double dz = elevation[n2] - elevation[n1];
     const double grade = std::asin(std::clamp(dz / length, -0.15, 0.15));
     Edge e;
@@ -100,7 +100,6 @@ RouteGraph make_osm_city(const OsmCityConfig& cfg) {
     e.speed_mps = class_speed(cls, cfg.arterial_speed_mps,
                               cfg.collector_speed_mps,
                               cfg.residential_speed_mps);
-    e.name = std::move(name);
     g.add_bidirectional(e);
   };
 
@@ -108,13 +107,11 @@ RouteGraph make_osm_city(const OsmCityConfig& cfg) {
     for (std::size_t c = 0; c < cfg.cols; ++c) {
       if (c + 1 < cfg.cols) {
         add_street(node_id(r, c), node_id(r, c + 1), col_x[c + 1] - col_x[c],
-                   line_class(r, cfg.arterial_every),
-                   "h-" + std::to_string(r) + "-" + std::to_string(c));
+                   line_class(r, cfg.arterial_every));
       }
       if (r + 1 < cfg.rows) {
         add_street(node_id(r, c), node_id(r + 1, c), row_y[r + 1] - row_y[r],
-                   line_class(c, cfg.arterial_every),
-                   "v-" + std::to_string(r) + "-" + std::to_string(c));
+                   line_class(c, cfg.arterial_every));
       }
     }
   }
@@ -130,8 +127,7 @@ RouteGraph make_osm_city(const OsmCityConfig& cfg) {
       const std::size_t n1 = down_right ? node_id(r, c) : node_id(r, c + 1);
       const std::size_t n2 =
           down_right ? node_id(r + 1, c + 1) : node_id(r + 1, c);
-      add_street(n1, n2, length, road::RoadClass::kCollector,
-                 "d-" + std::to_string(r) + "-" + std::to_string(c));
+      add_street(n1, n2, length, road::RoadClass::kCollector);
     }
   }
   return g;
@@ -234,7 +230,6 @@ RouteGraph build_network_graph(
       }
       e.speed_mps = speed;
       e.road_class = net.roads()[i].road_class;
-      e.name = road_i.name() + "#" + std::to_string(k);
       g.add_bidirectional(e);
       prev = next;
     }

@@ -1,13 +1,33 @@
 #include "planning/csr_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/obs.hpp"
 
 namespace rge::planning {
+
+// The input a metric's landmark tables are a pure function of — landmark
+// budget k, CSR topology, the metric's costs — and the tables themselves.
+// Every derived structure the sweeps use (reverse CSR, chain links,
+// reverse-slot costs) is a function of the same input, so equal input
+// yields the same bits.
+struct LandmarkLayer {
+  std::size_t k = 0;
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> head;
+  std::vector<double> cost;
+  /// Internal node ids; tables are flattened [li * n + v] (from = d(L, v),
+  /// to = d(v, L)).
+  std::vector<std::uint32_t> landmarks;
+  std::vector<double> from;
+  std::vector<double> to;
+};
 
 namespace {
 
@@ -175,6 +195,72 @@ void sweep(const std::uint32_t* offsets, const std::uint32_t* head,
       if (q == kChainEnd) heap.push_or_decrease(v, out);
     }
   }
+}
+
+// Hash of a landmark layer's input. It only rejects mismatches fast:
+// reuse is always confirmed by full element-wise equality.
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 29);
+}
+
+template <typename T>
+std::uint64_t hash_words(std::uint64_t h, const std::vector<T>& xs) {
+  for (const T x : xs) {
+    if constexpr (std::is_same_v<T, double>) {
+      h = mix(h, std::bit_cast<std::uint64_t>(x));
+    } else {
+      h = mix(h, x);
+    }
+  }
+  return mix(h, xs.size());
+}
+
+// The landmark layers of every live graph, by input hash. It holds weak
+// references only, so it keeps no layer alive that no graph holds; expired
+// entries are pruned on every lookup. A hit needs equal input element by
+// element; costs are finite and positive (build_csr checks), so equal
+// values are equal bits. Freezes of equal input that race may both build
+// their layer — both are the same bits, and either serves later lookups.
+class LayerRegistry {
+ public:
+  std::shared_ptr<const LandmarkLayer> find(
+      std::uint64_t hash, std::size_t k,
+      const std::vector<std::uint32_t>& offsets,
+      const std::vector<std::uint32_t>& head,
+      const std::vector<double>& cost) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::erase_if(entries_,
+                  [](const Entry& e) { return e.layer.expired(); });
+    for (const Entry& e : entries_) {
+      if (e.hash != hash) continue;
+      std::shared_ptr<const LandmarkLayer> layer = e.layer.lock();
+      if (layer && layer->k == k && layer->offsets == offsets &&
+          layer->head == head && layer->cost == cost) {
+        return layer;
+      }
+    }
+    return nullptr;
+  }
+
+  void add(std::uint64_t hash,
+           const std::shared_ptr<const LandmarkLayer>& layer) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    entries_.push_back({hash, layer});
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t hash;
+    std::weak_ptr<const LandmarkLayer> layer;
+  };
+  std::mutex mu_;
+  std::vector<Entry> entries_;
+};
+
+LayerRegistry& layer_registry() {
+  static LayerRegistry registry;
+  return registry;
 }
 
 }  // namespace
@@ -358,7 +444,20 @@ void CsrGraph::build_csr(const RouteGraph& g, const CostModel& model) {
 void CsrGraph::build_landmarks(const AltConfig& alt) {
   const std::size_t n = node_count();
   const std::size_t k = std::min(alt.landmarks, n);
-  if (k == 0) return;
+  if (k == 0) {
+    layers_.fill(std::make_shared<const LandmarkLayer>());
+    return;
+  }
+
+  // Share the layer of any live graph with bitwise-equal input.
+  const std::uint64_t topology =
+      hash_words(hash_words(mix(0, k), offsets_), head_);
+  std::array<std::uint64_t, kMetricCount> hashes{};
+  for (int mi = 0; mi < kMetricCount; ++mi) {
+    hashes[mi] = hash_words(topology, cost_[mi]);
+    layers_[mi] =
+        layer_registry().find(hashes[mi], k, offsets_, head_, cost_[mi]);
+  }
 
   // Chain structure, shared by every sweep of every metric.
   std::vector<std::uint8_t> interior(n);
@@ -385,10 +484,15 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
   std::vector<double> min_dist;
   std::vector<double> rev_cost(edge_count());
   for (int mi = 0; mi < kMetricCount; ++mi) {
+    if (layers_[mi]) continue;
+    auto layer = std::make_shared<LandmarkLayer>();
+    layer->k = k;
+    layer->offsets = offsets_;
+    layer->head = head_;
+    layer->cost = cost_[mi];
     const double* cost = cost_[mi].data();
-    auto& lms = landmarks_[mi];
-    auto& from = land_from_[mi];
-    lms.clear();
+    auto& lms = layer->landmarks;
+    auto& from = layer->from;
     from.resize(k * n);
 
     // Farthest-point selection on forward distances, seeded from node 0.
@@ -428,22 +532,24 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
     for (std::size_t slot = 0; slot < rev_cost.size(); ++slot) {
       rev_cost[slot] = cost[rev_pos_[slot]];
     }
-    auto& to = land_to_[mi];
+    auto& to = layer->to;
     to.resize(lms.size() * n);
     for (std::size_t li = 0; li < lms.size(); ++li) {
       run_sweep(rev_offsets_, rev_head_, rev_next, rev_cost.data(), lms[li],
                 to.data() + li * n);
     }
+    layers_[mi] = layer;
+    layer_registry().add(hashes[mi], layers_[mi]);
   }
 }
 
 double CsrGraph::potential_internal(Metric m, std::uint32_t v,
                                     std::uint32_t t) const {
-  const int mi = static_cast<int>(m);
+  const LandmarkLayer& layer = *layers_[static_cast<int>(m)];
   const std::size_t n = node_count();
-  const auto& from = land_from_[mi];
-  const auto& to = land_to_[mi];
-  const std::size_t k = landmarks_[mi].size();
+  const auto& from = layer.from;
+  const auto& to = layer.to;
+  const std::size_t k = layer.landmarks.size();
   double best = 0.0;
   for (std::size_t li = 0; li < k; ++li) {
     const double l_t = from[li * n + t];
@@ -470,9 +576,13 @@ double CsrGraph::edge_cost(Metric m, std::size_t original_edge_id) const {
   return cost_[static_cast<int>(m)][csr_pos_of_edge_[original_edge_id]];
 }
 
+std::size_t CsrGraph::landmark_count() const {
+  return layers_[0]->landmarks.size();
+}
+
 std::vector<std::size_t> CsrGraph::landmarks(Metric m) const {
   std::vector<std::size_t> out;
-  for (const std::uint32_t v : landmarks_[static_cast<int>(m)]) {
+  for (const std::uint32_t v : layers_[static_cast<int>(m)]->landmarks) {
     out.push_back(original_of_[v]);
   }
   return out;
@@ -480,20 +590,20 @@ std::vector<std::size_t> CsrGraph::landmarks(Metric m) const {
 
 double CsrGraph::distance_from_landmark(Metric m, std::size_t index,
                                         std::size_t node) const {
-  const int mi = static_cast<int>(m);
-  if (index >= landmarks_[mi].size() || node >= internal_of_.size()) {
+  const LandmarkLayer& layer = *layers_[static_cast<int>(m)];
+  if (index >= layer.landmarks.size() || node >= internal_of_.size()) {
     throw std::invalid_argument("CsrGraph::distance_from_landmark: bad id");
   }
-  return land_from_[mi][index * node_count() + internal_of_[node]];
+  return layer.from[index * node_count() + internal_of_[node]];
 }
 
 double CsrGraph::distance_to_landmark(Metric m, std::size_t index,
                                       std::size_t node) const {
-  const int mi = static_cast<int>(m);
-  if (index >= landmarks_[mi].size() || node >= internal_of_.size()) {
+  const LandmarkLayer& layer = *layers_[static_cast<int>(m)];
+  if (index >= layer.landmarks.size() || node >= internal_of_.size()) {
     throw std::invalid_argument("CsrGraph::distance_to_landmark: bad id");
   }
-  return land_to_[mi][index * node_count() + internal_of_[node]];
+  return layer.to[index * node_count() + internal_of_[node]];
 }
 
 double CsrGraph::potential(Metric m, std::size_t node,
@@ -510,7 +620,7 @@ CsrGraph::Route CsrGraph::route(std::size_t from, std::size_t to, Metric m,
   if (from >= n || to >= n) {
     throw std::invalid_argument("CsrGraph::route: bad endpoints");
   }
-  if (landmarks_[static_cast<int>(m)].empty()) use_alt = false;
+  if (layers_[static_cast<int>(m)]->landmarks.empty()) use_alt = false;
 
   Route route;
   const std::uint32_t s = internal_of_[from];

@@ -38,6 +38,17 @@
 // result depends neither on heap order nor on the walks, so the tables
 // are the same bits any correct Dijkstra would produce (DESIGN.md §9).
 //
+// A metric's landmark layer (its landmarks and both distance tables) is a
+// pure function of the landmark budget k, the CSR topology and that
+// metric's cost table. Each layer is one immutable shared object, and a
+// freeze reuses the layer of any live graph whose input is bitwise equal
+// (a process-wide registry of weak references, keyed by a hash of the
+// input and confirmed element by element). When an epoch re-grades the
+// network, distance and time costs are unchanged, so a graph frozen while
+// its predecessor is alive sweeps only the fuel and CO2 layers. The
+// registry owns nothing: a freeze with no equal graph alive runs every
+// sweep.
+//
 // Queries are read-only and thread-safe: the graph is immutable after
 // construction, and all mutable search state lives in a caller-owned
 // QueryContext (one per thread; epoch-stamped arrays make reuse O(touched)
@@ -47,6 +58,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "emissions/vsp.hpp"
@@ -92,7 +104,8 @@ struct BuildStats {
   double cost_tables_ms = 0.0;
   double landmarks_ms = 0.0;
   /// Single-source sweeps run by this freeze: 1 + 2k per metric, with k
-  /// the landmarks actually chosen.
+  /// the landmarks actually chosen, for every metric whose landmark layer
+  /// was built here rather than shared with a live graph.
   std::size_t landmark_sweeps = 0;
   /// Chain interiors: nodes the sweeps walk along their chain instead of
   /// heaping (0 when ALT is off).
@@ -100,6 +113,9 @@ struct BuildStats {
 };
 
 class CsrGraph;
+/// One metric's ALT tables with the input they derive from (defined in
+/// csr_graph.cpp); immutable, shared between graphs of equal input.
+struct LandmarkLayer;
 
 /// Mutable per-thread search scratch. Reusable across queries and graphs;
 /// epoch stamps avoid O(n) clears, so a warm sub-millisecond query only
@@ -142,7 +158,7 @@ class CsrGraph {
 
   std::size_t node_count() const { return offsets_.size() - 1; }
   std::size_t edge_count() const { return head_.size(); }
-  std::size_t landmark_count() const { return landmarks_[0].size(); }
+  std::size_t landmark_count() const;
   const BuildStats& build_stats() const { return build_stats_; }
 
   /// Precomputed cost of an edge (original edge index) under a metric.
@@ -202,12 +218,8 @@ class CsrGraph {
   std::vector<std::uint32_t> original_of_;  // internal -> original node
   std::vector<std::uint32_t> csr_pos_of_edge_;  // original edge -> CSR pos
 
-  // --- ALT tables ------------------------------------------------------
-  // landmarks_[metric]: internal node ids; distance tables are flattened
-  // [k * n + v] (from = d(L, v), to = d(v, L)).
-  std::array<std::vector<std::uint32_t>, kMetricCount> landmarks_;
-  std::array<std::vector<double>, kMetricCount> land_from_;
-  std::array<std::vector<double>, kMetricCount> land_to_;
+  // --- ALT tables, one shared immutable layer per metric ---------------
+  std::array<std::shared_ptr<const LandmarkLayer>, kMetricCount> layers_;
 
   BuildStats build_stats_;
 };

@@ -40,11 +40,17 @@ std::size_t RouteGraph::add_edge(Edge edge) {
 }
 
 void RouteGraph::add_bidirectional(const Edge& forward) {
+  Edge back;
+  back.from = forward.to;
+  back.to = forward.from;
+  back.length_m = forward.length_m;
+  back.grades.resize(forward.grades.size());
+  std::transform(forward.grades.rbegin(), forward.grades.rend(),
+                 back.grades.begin(), [](double g) { return -g; });
+  back.grade_step_m = forward.grade_step_m;
+  back.speed_mps = forward.speed_mps;
+  back.road_class = forward.road_class;
   add_edge(forward);
-  Edge back = forward;
-  std::swap(back.from, back.to);
-  std::reverse(back.grades.begin(), back.grades.end());
-  for (double& g : back.grades) g = -g;
   add_edge(std::move(back));
 }
 
@@ -80,7 +86,6 @@ RouteGraph make_grid_city(std::size_t rows, std::size_t cols, double block_m,
   const auto samples = static_cast<std::size_t>(
       std::max(1.0, std::round(block_m / step)));
 
-  int edge_idx = 0;
   auto add_street = [&](std::size_t r1, std::size_t c1, std::size_t r2,
                         std::size_t c2) {
     const double dz = elevation[node_id(r2, c2)] - elevation[node_id(r1, c1)];
@@ -91,7 +96,6 @@ RouteGraph make_grid_city(std::size_t rows, std::size_t cols, double block_m,
     e.length_m = block_m;
     e.grade_step_m = block_m / static_cast<double>(samples);
     e.grades.assign(samples, grade);
-    e.name = "street-" + std::to_string(edge_idx++);
     g.add_bidirectional(e);
   };
 

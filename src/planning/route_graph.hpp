@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "road/network.hpp"
@@ -34,7 +33,6 @@ struct Edge {
   double speed_mps = 0.0;
   /// Functional class, used for per-class speeds and AADT traffic volumes.
   road::RoadClass road_class = road::RoadClass::kResidential;
-  std::string name;
 };
 
 class RouteGraph {

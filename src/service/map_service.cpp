@@ -142,9 +142,11 @@ MapService::MapService(road::RoadNetwork network, MapServiceConfig cfg)
   }
   build_shards(cfg_.n_shards);
   auto initial = std::make_shared<ServiceSnapshot>();
-  initial->roads.resize(network_.size());
+  initial->roads.views_.reserve(network_.size());
   for (std::size_t r = 0; r < network_.size(); ++r) {
-    initial->roads[r].road = static_cast<RoadId>(r);
+    auto view = std::make_shared<RoadView>();
+    view->road = static_cast<RoadId>(r);
+    initial->roads.views_.push_back(std::move(view));
   }
   published_ = std::move(initial);
 }
@@ -393,21 +395,24 @@ std::uint64_t MapService::publish(runtime::ThreadPool* pool) {
   // Stitch without locks (ingest proceeds): walking a rebuilt road's
   // tiles in order yields its cells in ascending order, and tile t's
   // cells are the next run of its owner shard's piece. Every other road
-  // keeps the previous snapshot's view.
+  // shares the previous snapshot's view object.
   auto next = std::make_shared<ServiceSnapshot>();
   PublishStats stats;
   {
     OBS_SPAN("service.publish.stitch");
-    next->roads.reserve(n_roads);
+    auto& views = next->roads.views_;
+    views.reserve(n_roads);
     std::vector<std::size_t> cursor(shards_.size(), 0);
     for (std::size_t r = 0; r < n_roads; ++r) {
       const std::vector<std::size_t>& counts = tile_cells[r];
       if (counts.empty()) {
-        next->roads.push_back(prev->roads[r]);
+        views.push_back(prev->roads.views_[r]);
         continue;
       }
       ++stats.roads_rebuilt;
-      RoadView& view = next->roads.emplace_back();
+      auto rebuilt = std::make_shared<RoadView>();
+      RoadView& view = *rebuilt;
+      views.push_back(std::move(rebuilt));
       view.road = static_cast<RoadId>(r);
       std::size_t total = 0;
       for (const std::size_t n : counts) total += n;

@@ -18,16 +18,17 @@
 //
 // Serving is epoch/double-buffered: publish() rebuilds the views of the
 // roads ingested into since the previous publish (each shard marks the
-// roads it accumulates into), copies every other road's view from the
-// previous snapshot, and swaps the result in under a pointer lock held
-// O(1). A rebuilt road is finalized per shard over its owned tiles only,
-// then stitched tile by tile in cell order. Readers grab the current
-// snapshot with snapshot() and keep reading it (shared_ptr-pinned) while
-// ingest and the next publish proceed. Rebalancing to a different shard
-// count merges the old shards' sums per road
-// (FusionAccumulator::merge_cells over the new tile ranges) — exact,
-// because tiles partition cells so every cell's sums live in exactly one
-// old shard — and marks every road for the next publish.
+// roads it accumulates into), shares every other road's view with the
+// previous snapshot (one shared_ptr per road, no copy), and swaps the
+// result in under a pointer lock held O(1). A rebuilt road is finalized
+// per shard over its owned tiles only, then stitched tile by tile in cell
+// order. Readers grab the current snapshot with snapshot() and keep
+// reading it (shared_ptr-pinned) while ingest and the next publish
+// proceed. Rebalancing to a different shard count merges the old shards'
+// sums per road (FusionAccumulator::merge_cells over the new tile
+// ranges) — exact, because tiles partition cells so every cell's sums
+// live in exactly one old shard — and marks every road for the next
+// publish.
 //
 // Determinism rules (pinned by tests/test_map_service):
 //  * ingest() applies each shard's work items in upload order, so per-cell
@@ -43,7 +44,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -97,12 +100,55 @@ struct RoadView {
   std::size_t size() const { return cells.size(); }
 };
 
+/// Read-only sequence of road views indexed by RoadId. It reads like a
+/// const std::vector<RoadView> (size(), operator[], range-for), but holds
+/// each view through a shared_ptr: publish() hands an unchanged road's
+/// view on to the next snapshot instead of copying it, so consecutive
+/// snapshots share every view an epoch did not rebuild.
+class RoadViews {
+  using Ptr = std::shared_ptr<const RoadView>;
+
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = RoadView;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const RoadView*;
+    using reference = const RoadView&;
+
+    const_iterator() = default;
+    reference operator*() const { return **it_; }
+    const_iterator& operator++() {
+      ++it_;
+      return *this;
+    }
+    const_iterator operator++(int) { return const_iterator(it_++); }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    friend class RoadViews;
+    explicit const_iterator(std::vector<Ptr>::const_iterator it) : it_(it) {}
+    std::vector<Ptr>::const_iterator it_;
+  };
+
+  std::size_t size() const { return views_.size(); }
+  const RoadView& operator[](std::size_t road) const { return *views_[road]; }
+  const_iterator begin() const { return const_iterator(views_.begin()); }
+  const_iterator end() const { return const_iterator(views_.end()); }
+
+ private:
+  friend class MapService;
+  std::vector<Ptr> views_;
+};
+
 /// Immutable published map: one RoadView per road (empty view when
 /// nothing is covered yet). Readers hold it via shared_ptr; it never
-/// changes after publish.
+/// changes after publish. A view the next publish did not rebuild is the
+/// same object in both snapshots.
 struct ServiceSnapshot {
   std::uint64_t epoch = 0;
-  std::vector<RoadView> roads;  ///< indexed by RoadId
+  RoadViews roads;  ///< indexed by RoadId
 };
 
 /// Ingest-side counters of one shard (mirrored into per-shard obs
@@ -117,7 +163,7 @@ struct ShardStats {
 };
 
 /// Work of one publish(): the roads it rebuilt from the shards and the
-/// covered cells of those roads (every other road was copied).
+/// covered cells of those roads (every other road's view was shared).
 struct PublishStats {
   std::size_t roads_rebuilt = 0;
   std::size_t cells_rebuilt = 0;
@@ -164,8 +210,8 @@ class MapService {
   /// Publish a new snapshot (epoch + 1) and swap it in. Only the roads
   /// ingested into since the previous publish are rebuilt from the
   /// shards' current sums (every road after construction or rebalance);
-  /// every other road's view is copied from the previous snapshot, which
-  /// is bit-identical to rebuilding it. Ingest proceeds concurrently
+  /// every other road's view is the previous snapshot's view object,
+  /// which is bit-identical to rebuilding it. Ingest proceeds concurrently
   /// except for the brief per-shard finalize (on the pool when given);
   /// an upload that lands during the publish is rebuilt again by the
   /// next one, so none is lost. Readers are never blocked: they keep the

@@ -5,9 +5,10 @@
 // admissibility, exact and golden landmark tables (on OSM grids and on
 // chain-heavy road networks, where most landmark-sweep nodes are chain
 // interiors walked instead of heaped), the freeze's sweep and chain-node
-// counts and obs spans, and thread-safety of concurrent queries over one
-// shared graph (the CsrGraphConcurrency suite runs under the tsan-runtime
-// preset).
+// counts and obs spans, landmark layers shared between live graphs of
+// equal input, and thread-safety of concurrent queries over one shared
+// graph and of concurrent freezes racing on the layer registry (the
+// CsrGraphConcurrency suite runs under the tsan-runtime preset).
 #include "planning/csr_graph.hpp"
 
 #include <algorithm>
@@ -16,6 +17,8 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -556,6 +559,92 @@ TEST(CsrGraphChains, NetworkGraphLandmarksAndPotentialsMatchGoldenValues) {
   }
 }
 
+// ---- landmark layers shared between live graphs ------------------------
+
+// Every grade halved: the same topology, distance and time costs, but
+// different fuel and CO2 costs — one epoch's re-graded network.
+RouteGraph regraded(const RouteGraph& g) {
+  RouteGraph out(g.node_count());
+  for (std::size_t ei = 0; ei < g.edge_count(); ++ei) {
+    Edge e = g.edge(ei);
+    for (double& x : e.grades) x *= 0.5;
+    out.add_edge(std::move(e));
+  }
+  return out;
+}
+
+// Every landmark and every d(L, .) / d(., L) entry of every metric.
+struct LandmarkTables {
+  std::vector<std::vector<std::size_t>> landmarks;
+  std::vector<double> entries;
+  bool operator==(const LandmarkTables&) const = default;
+};
+
+LandmarkTables tables_of(const CsrGraph& csr) {
+  LandmarkTables t;
+  for (const Metric m : kAllMetrics) {
+    t.landmarks.push_back(csr.landmarks(m));
+    for (std::size_t li = 0; li < csr.landmarks(m).size(); ++li) {
+      for (std::size_t v = 0; v < csr.node_count(); ++v) {
+        t.entries.push_back(csr.distance_from_landmark(m, li, v));
+        t.entries.push_back(csr.distance_to_landmark(m, li, v));
+      }
+    }
+  }
+  return t;
+}
+
+constexpr std::size_t kAllSweeps = 4u * (1u + 2u * 8u);
+
+TEST(CsrGraph, LiveGraphsShareGradeIndependentLandmarkLayers) {
+  OsmCityConfig cfg;
+  cfg.rows = 12;
+  cfg.cols = 12;
+  const RouteGraph g = make_osm_city(cfg);
+  const RouteGraph g2 = regraded(g);
+
+  LandmarkTables cold;
+  {
+    const CsrGraph csr(g2);
+    ASSERT_EQ(csr.build_stats().landmark_sweeps, kAllSweeps);
+    cold = tables_of(csr);
+  }
+  {
+    const CsrGraph first(g);
+    EXPECT_EQ(first.build_stats().landmark_sweeps, kAllSweeps);
+    // Distance and time layers come from `first`: only fuel and CO2 sweep.
+    const CsrGraph second(g2);
+    EXPECT_EQ(second.build_stats().landmark_sweeps, kAllSweeps / 2);
+    EXPECT_EQ(second.build_stats().chain_nodes,
+              first.build_stats().chain_nodes);
+    EXPECT_TRUE(tables_of(second) == cold);
+    QueryContext ctx;
+    const auto pairs = std::vector<std::pair<std::size_t, std::size_t>>{
+        {0, g.node_count() - 1}, {5, 100}, {130, 7}, {60, 61}};
+    for (const Metric m : kAllMetrics) {
+      for (const auto& [u, t] : pairs) {
+        expect_identical(second.route(u, t, m, ctx, false),
+                         second.route(u, t, m, ctx, true), metric_name(m));
+      }
+    }
+
+    // A twin of a live graph shares every layer; another landmark budget
+    // or node order shares none.
+    EXPECT_EQ(CsrGraph(g2).build_stats().landmark_sweeps, 0u);
+    AltConfig seven;
+    seven.landmarks = 7;
+    EXPECT_EQ(CsrGraph(g2, CostModel{}, seven).build_stats().landmark_sweeps,
+              4u * (1u + 2u * 7u));
+    AltConfig unordered;
+    unordered.bfs_order = false;
+    EXPECT_EQ(
+        CsrGraph(g2, CostModel{}, unordered).build_stats().landmark_sweeps,
+        kAllSweeps);
+  }
+  // Nothing outlives the graphs that held it: a freeze is cold again.
+  EXPECT_EQ(CsrGraph(g2).build_stats().landmark_sweeps, kAllSweeps);
+}
+
 TEST(CsrGraphObs, OneFreezeRecordsOneSpanPerStage) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const RouteGraph g = make_grid_city(4, 4, 200.0, 6);
@@ -616,6 +705,32 @@ TEST(CsrGraphConcurrency, ParallelQueriesMatchSerial) {
 
   for (std::size_t i = 0; i < kQueries; ++i) {
     expect_identical(serial[i], parallel[i], "concurrent query");
+  }
+}
+
+TEST(CsrGraphConcurrency, ParallelFreezesOfEqualGraphsMatchColdFreezes) {
+  // Freezes of two graphs that share their distance and time layers race
+  // on the layer registry: some build a layer, some share one, and graphs
+  // die (expiring registry entries) while others look layers up.
+  OsmCityConfig cfg;
+  cfg.rows = 10;
+  cfg.cols = 10;
+  const RouteGraph graphs[2] = {make_osm_city(cfg),
+                                regraded(make_osm_city(cfg))};
+  const LandmarkTables cold[2] = {tables_of(CsrGraph(graphs[0])),
+                                  tables_of(CsrGraph(graphs[1]))};
+
+  constexpr std::size_t kFreezes = 24;
+  std::vector<LandmarkTables> got(kFreezes);
+  std::vector<std::unique_ptr<const CsrGraph>> kept(kFreezes);
+  runtime::ThreadPool pool(4);
+  runtime::parallel_for(pool, kFreezes, [&](std::size_t i) {
+    auto csr = std::make_unique<const CsrGraph>(graphs[i % 2]);
+    got[i] = tables_of(*csr);
+    if (i % 3 == 0) kept[i] = std::move(csr);
+  });
+  for (std::size_t i = 0; i < kFreezes; ++i) {
+    EXPECT_TRUE(got[i] == cold[i % 2]) << "freeze " << i;
   }
 }
 

@@ -6,8 +6,9 @@
 // the published multi-shard map is therefore bit-identical to single-shard
 // serial fusion across 1/2/8-thread pools and 1/4/16 shards. On top of
 // that: epoch/double-buffered snapshots (readers keep a pinned immutable
-// buffer while ingest continues), exact rebalancing, per-shard matcher
-// caches, and the concurrency of ingest_one/publish/snapshot (exercised
+// buffer while ingest continues, and consecutive snapshots share the view
+// of every road a publish did not rebuild), exact rebalancing, per-shard
+// matcher caches, and the concurrency of ingest_one/publish/snapshot (exercised
 // under TSan via the tsan-runtime preset).
 #include "service/map_service.hpp"
 
@@ -413,6 +414,32 @@ TEST(MapService, IngestOneRebuildsExactlyItsRoad) {
       expect_views_identical(after->roads[q], before->roads[q]);
     }
   }
+  expect_views_match_merged(svc);
+}
+
+TEST(MapService, UnchangedRoadsShareTheirViewAcrossEpochs) {
+  const road::RoadNetwork net = small_city();
+  const auto fleet = synth_fleet(net, 30, 11);
+  MapService svc(net, base_config(4));
+  svc.ingest(fleet);
+  svc.publish();
+  const auto a = svc.snapshot();
+  const RoadId r = fleet.front().road;
+  const RoadView pinned = svc.merged_road_view(r);
+
+  svc.ingest_one(fleet.front());
+  svc.publish();
+  const auto b = svc.snapshot();
+  ASSERT_EQ(a->roads.size(), b->roads.size());
+  for (RoadId q = 0; q < svc.n_roads(); ++q) {
+    if (q == r) {
+      EXPECT_NE(&a->roads[q], &b->roads[q]);
+    } else {
+      EXPECT_EQ(&a->roads[q], &b->roads[q]) << "road " << q;
+    }
+  }
+  // The pinned old epoch still serves the map as it was when published.
+  expect_views_identical(a->roads[r], pinned);
   expect_views_match_merged(svc);
 }
 
