@@ -1,10 +1,13 @@
 // Map-service bench: the sharded city-scale serving layer under a
 // 10,000-vehicle fleet (the deployment the paper's cloud section sketches).
 //
-// The whole 164.8 km network (Fig. 7(a)) is tiled and sharded; the fleet
-// uploads partial-trip gradient tracks keyed by road odometry. Measured:
+// The roads of the whole 164.8 km network (Fig. 7(a)) are hashed onto
+// shards; the fleet uploads partial-trip gradient tracks keyed by road
+// odometry. Measured:
 //   * ingest throughput (fixes/sec) of deterministic batch ingest on a
 //     pool, vs the same uploads through a single-shard serial service;
+//   * ingest time against pool size (1/2/3 threads) for batches of 50,
+//     1,000 and 10,000 uploads: median, min and max of repeated runs;
 //   * publish() latency percentiles (snapshot rebuild + pointer swap)
 //     interleaved with ingest;
 //   * snapshot() latency percentiles (the reader path — a shared_ptr
@@ -102,12 +105,10 @@ int main() {
   const road::RoadNetwork network = road::make_city_network(2019);
   service::MapServiceConfig cfg;
   cfg.n_shards = 8;
-  cfg.tile_length_m = 2000.0;
   cfg.fusion.distance_step_m = 5.0;
   service::MapService svc(network, cfg);
-  std::printf("network: %zu roads, %.1f km -> %zu tiles on %zu shards\n",
-              network.size(), network.total_length_m() / 1000.0,
-              svc.n_tiles(), svc.n_shards());
+  std::printf("network: %zu roads, %.1f km on %zu shards\n", network.size(),
+              network.total_length_m() / 1000.0, svc.n_shards());
 
   // ---- fleet ----------------------------------------------------------
   constexpr std::size_t kFleet = 10000;
@@ -196,21 +197,19 @@ int main() {
     const auto it = obs_snap.counters.find(name);
     return it == obs_snap.counters.end() ? std::int64_t{0} : it->second;
   };
-  std::printf("\n%-6s %8s %8s %12s %14s %14s\n", "shard", "tiles", "roads",
-              "tracks", "samples", "covered");
+  std::printf("\n%-6s %8s %12s %14s %14s\n", "shard", "roads", "tracks",
+              "samples", "covered");
   testing::Json::Array shard_rows;
   shard_rows.reserve(svc.n_shards());
   bool counters_conserved = true;
   for (const auto& st : svc.shard_stats()) {
     const std::string prefix = "service.shard" + std::to_string(st.shard);
-    std::printf("%-6zu %8zu %8zu %12llu %14llu %14llu\n", st.shard,
-                st.n_tiles, st.n_roads,
+    std::printf("%-6zu %8zu %12llu %14llu %14llu\n", st.shard, st.n_roads,
                 static_cast<unsigned long long>(st.tracks_ingested),
                 static_cast<unsigned long long>(st.samples_ingested),
                 static_cast<unsigned long long>(st.covered_cells));
     testing::Json::Object row;
     row["shard"] = testing::Json(st.shard);
-    row["tiles"] = testing::Json(st.n_tiles);
     row["roads"] = testing::Json(st.n_roads);
     row["tracks_ingested"] = testing::Json(std::size_t{st.tracks_ingested});
     row["samples_ingested"] = testing::Json(std::size_t{st.samples_ingested});
@@ -228,6 +227,49 @@ int main() {
     }
   }
 
+  // ---- ingest time against pool size and batch size -------------------
+  // A fresh service per repetition, so every run ingests into empty
+  // accumulators. Runs after the obs snapshot above: these services bump
+  // the same process-global shard counters.
+  constexpr std::size_t kRepeats = 7;
+  std::printf("\ningest ms vs pool size (%zu shards; median [min, max] of "
+              "%zu runs)\n%-8s",
+              cfg.n_shards, kRepeats, "batch");
+  const std::size_t pool_sizes[] = {1, 2, 3};
+  for (const std::size_t p : pool_sizes) {
+    std::printf(" %26s", ("pool " + std::to_string(p)).c_str());
+  }
+  std::printf("\n");
+  testing::Json::Array scaling_rows;
+  for (const std::size_t batch_size : {50u, 1000u, 10000u}) {
+    const std::vector<service::TrackUpload> batch(
+        fleet.begin(),
+        fleet.begin() + static_cast<std::ptrdiff_t>(batch_size));
+    std::printf("%-8zu", batch_size);
+    for (const std::size_t p : pool_sizes) {
+      runtime::ThreadPool scaling_pool(p);
+      std::vector<double> ms;
+      for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+        service::MapService fresh(network, cfg);
+        const auto t0 = Clock::now();
+        fresh.ingest(batch, &scaling_pool);
+        ms.push_back(ms_since(t0));
+      }
+      const auto [lo, hi] = std::minmax_element(ms.begin(), ms.end());
+      const double median = math::percentile(ms, 0.5);
+      std::printf(" %10.3f [%6.3f, %6.3f]", median, *lo, *hi);
+      scaling_rows.emplace_back(testing::Json::Object{
+          {"batch_uploads", batch_size},
+          {"pool_threads", p},
+          {"median_ms", median},
+          {"min_ms", *lo},
+          {"max_ms", *hi},
+          {"repeats", kRepeats},
+      });
+    }
+    std::printf("\n");
+  }
+
   // ---- perf-trajectory artifact ---------------------------------------
   testing::Json::Object doc;
   doc["workload"] = testing::Json::Object{
@@ -235,9 +277,7 @@ int main() {
       {"total_fixes", total_fixes},
       {"n_roads", network.size()},
       {"network_km", network.total_length_m() / 1000.0},
-      {"n_tiles", svc.n_tiles()},
       {"n_shards", svc.n_shards()},
-      {"tile_length_m", cfg.tile_length_m},
       {"grid_step_m", cfg.fusion.distance_step_m},
       {"batch_size", kBatch},
       {"pool_threads", pool.size()},
@@ -246,6 +286,7 @@ int main() {
       {"sharded_ms", ingest_ms_total},
       {"sharded_fixes_per_sec", fixes_per_sec},
       {"single_shard_serial_ms", ref_ingest_ms},
+      {"by_pool_size", scaling_rows},
   };
   doc["publish_latency_ms"] = testing::Json::Object{
       {"p50", math::percentile(publish_ms, 0.5)},
@@ -267,9 +308,9 @@ int main() {
   std::printf("\nwrote BENCH_map_service.json\n");
 
   std::printf(
-      "\nReading: tiles partition every road's fusion grid into cell "
-      "ranges, so shards accumulate disjoint cells and the merged map is "
-      "the serial map bit for bit — sharding buys ingest parallelism and "
-      "O(1) reader snapshots without giving up reproducibility.\n");
+      "\nReading: every road has one accumulator on one shard and sees "
+      "its uploads in upload order, so the sharded map is the serial map "
+      "bit for bit — sharding buys ingest parallelism and O(1) reader "
+      "snapshots without giving up reproducibility.\n");
   return identical && counters_conserved ? 0 : 1;
 }

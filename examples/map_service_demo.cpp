@@ -1,7 +1,7 @@
 // Map-service demo: run the sharded city-scale serving layer end to end,
 // the way a cloud deployment of the paper's gradient map would.
 //
-//   city network  ->  MapService (tiles -> shards)  ->  fleet uploads
+//   city network  ->  MapService (roads -> shards)  ->  fleet uploads
 //                 ->  epoch-published snapshots  ->  served road views
 //
 // Shows: deterministic batch ingest on a thread pool, epoch/double-
@@ -20,17 +20,15 @@
 int main() {
   using namespace rge;
 
-  // 1. A small city and the service over it: 500 m tiles hashed onto 4
-  //    shards, serving on a 5 m gradient grid.
+  // 1. A small city and the service over it: roads hashed onto 4 shards,
+  //    serving on a 5 m gradient grid.
   const road::RoadNetwork city = road::make_city_network(7, 25.0);
   service::MapServiceConfig cfg;
   cfg.n_shards = 4;
-  cfg.tile_length_m = 500.0;
   cfg.fusion.distance_step_m = 5.0;
   service::MapService svc(city, cfg);
-  std::printf("city: %zu roads, %.1f km -> %zu tiles on %zu shards\n",
-              city.size(), city.total_length_m() / 1000.0, svc.n_tiles(),
-              svc.n_shards());
+  std::printf("city: %zu roads, %.1f km on %zu shards\n", city.size(),
+              city.total_length_m() / 1000.0, svc.n_shards());
 
   // 2. A fleet of partial-trip uploads (here synthesized from the true
   //    grades; in deployment these come out of the estimation pipeline
@@ -88,8 +86,8 @@ int main() {
   }
   std::printf("\n\nper-shard ingest stats:\n");
   for (const auto& st : svc.shard_stats()) {
-    std::printf("  shard %zu: %zu tiles, %llu sub-tracks, %llu covered cells\n",
-                st.shard, st.n_tiles,
+    std::printf("  shard %zu: %zu roads, %llu uploads, %llu covered cells\n",
+                st.shard, st.n_roads,
                 static_cast<unsigned long long>(st.tracks_ingested),
                 static_cast<unsigned long long>(st.covered_cells));
   }

@@ -196,21 +196,9 @@ double FusionAccumulator::add_cell_decayed(std::size_t i, double w, double g,
 }
 
 void FusionAccumulator::add_track(const GradeTrack& track) {
-  add_track_cells(track, 0, grid_.n);
-}
-
-void FusionAccumulator::add_track_cells(const GradeTrack& track,
-                                        std::size_t cell_begin,
-                                        std::size_t cell_end) {
   OBS_SPAN("fusion.add_track");
   OBS_COUNT("fusion.add_track", 1);
   check_track_shape(track, "FusionAccumulator::add_track");
-  if (cell_begin > cell_end) {
-    throw std::invalid_argument(
-        "FusionAccumulator::add_track_cells: cell_begin > cell_end");
-  }
-  cell_end = std::min(cell_end, grid_.n);
-  cell_begin = std::min(cell_begin, cell_end);
 
   const double front = track.s.front();
   const double back = track.s.back();
@@ -241,14 +229,6 @@ void FusionAccumulator::add_track_cells(const GradeTrack& track,
       while (i_hi > 0 && grid_.at(i_hi - 1) > back) --i_hi;
     }
   }
-
-  // Restrict to the requested cell range. The cursor starting mid-track
-  // returns the same interpolation brackets as one that walked the cells
-  // before cell_begin (InterpCursor::advance is bit-identical to locate()
-  // for any query order), so a range-restricted add writes exactly what
-  // the unrestricted add would have written to those cells.
-  i_lo = std::max(i_lo, cell_begin);
-  i_hi = std::max(i_lo, std::min(i_hi, cell_end));
 
   math::InterpCursor cursor;
   const std::span<const double> keys{track.s.data(), track.s.size()};
@@ -312,8 +292,8 @@ void FusionAccumulator::add_tracks_parallel(
 namespace {
 
 /// merge() precondition failure, naming the field that differs so a
-/// failed shard rebalance points at its cause instead of an
-/// indistinguishable "grid/config mismatch".
+/// failed merge points at its cause instead of an indistinguishable
+/// "grid/config mismatch".
 [[noreturn]] void merge_mismatch(const char* field, double mine,
                                  double theirs) {
   char buf[160];
@@ -326,12 +306,6 @@ namespace {
 }  // namespace
 
 void FusionAccumulator::merge(const FusionAccumulator& other) {
-  merge_cells(other, 0, grid_.n);
-}
-
-void FusionAccumulator::merge_cells(const FusionAccumulator& other,
-                                    std::size_t cell_begin,
-                                    std::size_t cell_end) {
   if (grid_.step != other.grid_.step) {
     merge_mismatch("grid spacing (step)", grid_.step, other.grid_.step);
   }
@@ -359,14 +333,8 @@ void FusionAccumulator::merge_cells(const FusionAccumulator& other,
     merge_mismatch("config decay_tau_s", cfg_.decay_tau_s,
                    other.cfg_.decay_tau_s);
   }
-  if (cell_begin > cell_end) {
-    throw std::invalid_argument(
-        "FusionAccumulator::merge_cells: cell_begin > cell_end");
-  }
-  cell_end = std::min(cell_end, grid_.n);
-  cell_begin = std::min(cell_begin, cell_end);
   if (!decay_enabled()) {
-    for (std::size_t i = cell_begin; i < cell_end; ++i) {
+    for (std::size_t i = 0; i < grid_.n; ++i) {
       weight_sum_[i] += other.weight_sum_[i];
       grade_sum_[i] += other.grade_sum_[i];
       speed_sum_[i] += other.speed_sum_[i];
@@ -376,11 +344,10 @@ void FusionAccumulator::merge_cells(const FusionAccumulator& other,
   } else {
     // Align each cell's reference times before summing: the side with
     // the older ref is aged up to the newer one, so the merged cell is
-    // decayed to max(ref_a, ref_b). When the ranges partition disjoint
-    // cells (shard rebalance: one side has coverage 0 per cell), this
-    // degenerates to an exact copy and the round trip is bit-identical.
+    // decayed to max(ref_a, ref_b). A cell that only one side covers is
+    // taken over as is (an empty cell's ref_t is meaningless).
     double evicted = 0.0;
-    for (std::size_t i = cell_begin; i < cell_end; ++i) {
+    for (std::size_t i = 0; i < grid_.n; ++i) {
       if (other.coverage_[i] == 0) continue;
       if (coverage_[i] == 0) {
         weight_sum_[i] = other.weight_sum_[i];
@@ -447,55 +414,23 @@ GradeTrack FusionAccumulator::snapshot() const {
   return fused;
 }
 
-void FusionAccumulator::CoverageSnapshot::resize(std::size_t n) {
-  track.t.resize(n);
-  track.grade.resize(n);
-  track.grade_var.resize(n);
-  track.speed.resize(n);
-  track.s.resize(n);
-  cells.resize(n);
-  coverage.resize(n);
-}
-
 FusionAccumulator::CoverageSnapshot FusionAccumulator::snapshot_covered(
     std::uint32_t min_coverage) const {
-  CoverageSnapshot out;
-  out.resize(count_covered(0, grid_.n, min_coverage));
-  out.track.source = "fused-distance";
-  finalize_covered(0, grid_.n, min_coverage, out, 0);
-  return out;
-}
-
-namespace {
-
-void check_min_coverage(std::uint32_t min_coverage) {
   if (min_coverage == 0) {
     throw std::invalid_argument(
         "FusionAccumulator: min_coverage must be >= 1");
   }
-}
-
-}  // namespace
-
-std::size_t FusionAccumulator::count_covered(
-    std::size_t cell_begin, std::size_t cell_end,
-    std::uint32_t min_coverage) const {
-  check_min_coverage(min_coverage);
-  cell_end = std::min(cell_end, grid_.n);
+  // Count first, so every array is sized exactly (no growth slack).
   std::size_t n_covered = 0;
-  for (std::size_t i = cell_begin; i < cell_end; ++i) {
-    if (coverage_[i] >= min_coverage) ++n_covered;
+  for (const std::uint32_t c : coverage_) {
+    if (c >= min_coverage) ++n_covered;
   }
-  return n_covered;
-}
-
-std::size_t FusionAccumulator::finalize_covered(
-    std::size_t cell_begin, std::size_t cell_end, std::uint32_t min_coverage,
-    CoverageSnapshot& out, std::size_t at) const {
-  check_min_coverage(min_coverage);
-  cell_end = std::min(cell_end, grid_.n);
-  std::size_t j = at;
-  for (std::size_t i = cell_begin; i < cell_end; ++i) {
+  CoverageSnapshot out;
+  out.track = make_fused_shell(n_covered);
+  out.cells.resize(n_covered);
+  out.coverage.resize(n_covered);
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < grid_.n; ++i) {
     if (coverage_[i] < min_coverage) continue;
     out.cells[j] = i;
     out.coverage[j] = coverage_[i];
@@ -511,7 +446,7 @@ std::size_t FusionAccumulator::finalize_covered(
                                       : static_cast<double>(coverage_[i]));
     ++j;
   }
-  return j;
+  return out;
 }
 
 // ------------------------------------------------------ entry points ----

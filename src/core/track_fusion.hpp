@@ -102,7 +102,7 @@ FusionGrid make_overlap_grid(const std::vector<GradeTrack>& tracks,
 /// down-weighted by exp(-(ref_t - t_old)/tau). Because the decay factor
 /// is a pure function of contribution sample times, and because each
 /// cell's operations happen in upload order regardless of shard x thread
-/// layout (cells are shard-exclusive in the map service), decayed maps
+/// layout (roads are shard-exclusive in the map service), decayed maps
 /// stay bit-reproducible across layouts. Snapshot ratios are unchanged
 /// for a single-epoch fleet (scaling every contribution by the same
 /// factor cancels in sum-of-weighted / sum-of-weights); decay only
@@ -120,21 +120,6 @@ class FusionAccumulator {
   /// @throws std::invalid_argument on an empty or malformed track.
   void add_track(const GradeTrack& track);
 
-  /// add_track restricted to grid cells [cell_begin, cell_end): the
-  /// track's contribution to every cell in the range is bit-identical to
-  /// what an unrestricted add_track would have written there (same
-  /// interpolation brackets, same arithmetic), and cells outside the
-  /// range are untouched. This is the tile-boundary splitting primitive
-  /// of the sharded map service: a track crossing tile boundaries is
-  /// applied once per tile with the tile's cell range, and the cell-wise
-  /// union reproduces the unsplit add exactly. cell_end is clamped to the
-  /// grid; tracks_added() counts each call (a split track counts once per
-  /// sub-range it was applied with).
-  /// @throws std::invalid_argument on an empty or malformed track, or
-  /// cell_begin > cell_end.
-  void add_track_cells(const GradeTrack& track, std::size_t cell_begin,
-                       std::size_t cell_end);
-
   /// add_track for each track, in order.
   void add_tracks(const std::vector<GradeTrack>& tracks);
 
@@ -148,22 +133,13 @@ class FusionAccumulator {
   void add_tracks_parallel(const std::vector<GradeTrack>& tracks,
                            runtime::ThreadPool& pool);
 
-  /// Cell-wise sum of another accumulator over the same grid and config.
+  /// Cell-wise sum of another accumulator over the same grid and config
+  /// (with decay on, each cell's two sides are first aged to the newer
+  /// reference time). The combine step of add_tracks_parallel.
   /// @throws std::invalid_argument on grid or config mismatch, naming the
   /// mismatching field (spacing / origin / length / min_variance /
-  /// distance_step_m) so shard-rebalance failures are diagnosable.
+  /// distance_step_m / decay_tau_s) so failures are diagnosable.
   void merge(const FusionAccumulator& other);
-
-  /// merge() restricted to cells [cell_begin, cell_end) (cell_end clamped
-  /// to the grid): the other accumulator's sums and coverage are added
-  /// cell-wise over the range only; tracks_added() still absorbs the
-  /// other's full count. This is the shard-rebalancing primitive — a new
-  /// shard layout is seeded by copying each tile's cell range out of the
-  /// merged old shards.
-  /// @throws std::invalid_argument like merge(), or on cell_begin >
-  /// cell_end.
-  void merge_cells(const FusionAccumulator& other, std::size_t cell_begin,
-                   std::size_t cell_end);
 
   /// Finalize Eq. 6 over the contiguous run of cells covered by every
   /// track added so far. On the overlap grid of the same tracks this is
@@ -185,7 +161,8 @@ class FusionAccumulator {
   /// different track subsets), so the result intentionally skips the full
   /// GradeTrack::validate() contract; `cells` maps each sample back to
   /// its grid cell index and `coverage` reports the per-cell contributor
-  /// count. This is the whole-grid case of finalize_covered().
+  /// count. Every array is sized exactly. The map service serves each
+  /// road's view from it.
   /// @throws std::invalid_argument if min_coverage == 0.
   struct CoverageSnapshot {
     GradeTrack track;
@@ -193,27 +170,8 @@ class FusionAccumulator {
     std::vector<std::uint32_t> coverage;
 
     std::size_t size() const { return cells.size(); }
-    /// Size every array to n samples (exactly: no growth slack).
-    void resize(std::size_t n);
   };
   CoverageSnapshot snapshot_covered(std::uint32_t min_coverage = 1) const;
-
-  /// Cells of [cell_begin, cell_end) (clamped to the grid) with coverage
-  /// >= min_coverage: the sample count finalize_covered() writes.
-  /// @throws std::invalid_argument if min_coverage == 0.
-  std::size_t count_covered(std::size_t cell_begin, std::size_t cell_end,
-                            std::uint32_t min_coverage) const;
-
-  /// Cell-range finalize of Eq. 6: the covered cells of [cell_begin,
-  /// cell_end), exactly as snapshot_covered() would finalize them, written
-  /// into `out` from sample `at` on. `out` must already hold at least
-  /// at + count_covered(...) samples. Returns the index one past the last
-  /// sample written. The sharded map service finalizes each shard's owned
-  /// tiles with it.
-  /// @throws std::invalid_argument if min_coverage == 0.
-  std::size_t finalize_covered(std::size_t cell_begin, std::size_t cell_end,
-                               std::uint32_t min_coverage,
-                               CoverageSnapshot& out, std::size_t at) const;
 
   const FusionGrid& grid() const { return grid_; }
   const FusionConfig& config() const { return cfg_; }

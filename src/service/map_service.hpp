@@ -2,42 +2,35 @@
 // streaming FusionAccumulator and the cached RoadMatcher.
 //
 // The paper's end goal is a crowd-sourced road-gradient map serving whole
-// road networks. One process-wide accumulator per road does not survive
-// that scale: every upload would serialize on one lock, and a snapshot
-// would block ingest for the whole map. MapService partitions the network
-// into fixed-length tiles along each road's arc length, assigns tiles to
-// shards by a deterministic hash, and gives each shard its own
-// FusionAccumulator per road (full road grid; only the shard's tiles are
-// ever touched) plus its own MatcherCache. Uploads are split at tile
-// boundaries — at boundary cell indices of the road's fusion grid, a pure
-// function of the grid, never of thread count — and each shard applies its
-// sub-ranges with FusionAccumulator::add_track_cells, whose cell-wise
-// arithmetic is bit-identical to an unsplit add. The cell-wise union of
-// all shards therefore reproduces single-accumulator serial fusion
-// exactly, for any shard count and any pool size.
+// road networks. One process-wide lock over the map does not survive that
+// scale: every upload would serialize on it, and a snapshot would block
+// ingest for the whole map. The cloud fusion (Eq. 6) is a sum per road, so
+// MapService shards by road: each road has one FusionAccumulator over its
+// full grid, owned by shard road_hash(road) % n_shards, and each shard has
+// its own lock, dirty marks, MatcherCache and counters. An upload touches
+// exactly one road, so it is applied whole, under one shard lock, and
+// every cell's sums see the uploads in upload order on one accumulator —
+// published maps are bit-identical to single-accumulator serial fusion for
+// any shard count and any pool size, by construction.
 //
 // Serving is epoch/double-buffered: publish() rebuilds the views of the
 // roads ingested into since the previous publish (each shard marks the
 // roads it accumulates into), shares every other road's view with the
 // previous snapshot (one shared_ptr per road, no copy), and swaps the
-// result in under a pointer lock held O(1). A rebuilt road is finalized
-// per shard over its owned tiles only, then stitched tile by tile in cell
-// order. Readers grab the current snapshot with snapshot() and keep
-// reading it (shared_ptr-pinned) while ingest and the next publish
-// proceed. Rebalancing to a different shard count merges the old shards'
-// sums per road (FusionAccumulator::merge_cells over the new tile
-// ranges) — exact, because tiles partition cells so every cell's sums
-// live in exactly one old shard — and marks every road for the next
-// publish.
+// result in under a pointer lock held O(1). Each shard turns its dirty
+// roads into new views under one hold of its lock. Readers grab the
+// current snapshot with snapshot() and keep reading it (shared_ptr-pinned)
+// while ingest and the next publish proceed. Rebalancing to a different
+// shard count re-homes each road's accumulator on its new owner (no sums
+// are copied or merged) and marks every road for the next publish.
 //
 // Determinism rules (pinned by tests/test_map_service):
-//  * ingest() applies each shard's work items in upload order, so per-cell
-//    accumulation order equals upload order regardless of shard count or
-//    pool size — published maps are bit-identical across 1/2/8 threads and
-//    1/4/16 shards;
-//  * tile boundaries are cell indices (tile t owns cells [t*cpt,
-//    (t+1)*cpt)), so the split is exact and never duplicates or drops a
-//    cell;
+//  * ingest() buckets whole uploads by owner shard in upload order, so
+//    per-cell accumulation order equals upload order regardless of shard
+//    count or pool size — published maps are bit-identical across 1/2/8
+//    threads and 1/4/16 shards;
+//  * the road -> shard map is a pure function of the road id and the
+//    shard count, never of thread count or ingest order;
 //  * ingest_one() is thread-safe (per-shard locking) but concurrent
 //    streaming callers race for upload order; use ingest() batches when
 //    bit-reproducibility matters.
@@ -65,12 +58,12 @@ namespace rge::service {
 using RoadId = std::uint32_t;
 
 struct MapServiceConfig {
-  /// Number of shards tiles are hashed onto. >= 1.
+  /// Number of shards roads are hashed onto. >= 1.
   std::size_t n_shards = 4;
-  /// Target tile length along a road's arc (m); rounded to a whole number
-  /// of fusion-grid cells (>= 1 cell).
+  /// Unused: roads are not split, so nothing reads this. Kept only so
+  /// existing callers that assign it still compile.
   double tile_length_m = 2000.0;
-  /// Fusion settings for every per-shard accumulator (distance_step_m is
+  /// Fusion settings for every per-road accumulator (distance_step_m is
   /// the serving grid's cell size).
   core::FusionConfig fusion;
   /// Map-matching settings for the per-shard matcher caches.
@@ -155,10 +148,9 @@ struct ServiceSnapshot {
 /// counters `service.shard<k>.*` when the observability layer is on).
 struct ShardStats {
   std::size_t shard = 0;
-  std::size_t n_tiles = 0;
-  std::size_t n_roads = 0;             ///< roads with at least one tile here
-  std::uint64_t tracks_ingested = 0;   ///< tile-split sub-track applications
-  std::uint64_t samples_ingested = 0;  ///< upload samples booked to its tiles
+  std::size_t n_roads = 0;             ///< roads this shard owns
+  std::uint64_t tracks_ingested = 0;   ///< uploads applied to its roads
+  std::uint64_t samples_ingested = 0;  ///< samples of those uploads
   std::uint64_t covered_cells = 0;     ///< cells with coverage >= 1
 };
 
@@ -171,10 +163,10 @@ struct PublishStats {
 
 class MapService {
  public:
-  /// Builds the tile partition and every shard's (empty) accumulators up
-  /// front, so ingest never mutates the shard structure.
+  /// Builds every road's (empty) accumulator and the shards up front, so
+  /// ingest never mutates the shard structure.
   /// @throws std::invalid_argument on an empty network, n_shards == 0, or
-  /// a non-positive tile length / fusion step.
+  /// a non-positive fusion step.
   MapService(road::RoadNetwork network, MapServiceConfig cfg = {});
   ~MapService();
 
@@ -183,36 +175,35 @@ class MapService {
 
   std::size_t n_shards() const { return shards_.size(); }
   std::size_t n_roads() const { return network_.size(); }
-  std::size_t n_tiles() const { return n_tiles_; }
   const MapServiceConfig& config() const { return cfg_; }
   const road::Road& road(RoadId id) const;
   const core::FusionGrid& grid(RoadId id) const;
-  /// Tile count of one road and the deterministic tile -> shard map.
-  /// @throws std::out_of_range on an unknown road, or a tile beyond it.
-  std::size_t tiles_of(RoadId id) const;
-  std::size_t shard_of_tile(RoadId id, std::size_t tile) const;
+  /// The shard that owns a road: road_hash(id) % n_shards().
+  /// @throws std::out_of_range on an unknown road.
+  std::size_t shard_of(RoadId id) const;
 
-  /// Deterministic batch ingest: splits every upload at tile boundaries,
-  /// routes the sub-ranges to their shards, and applies each shard's work
-  /// in upload order (shards run concurrently on the pool when given).
-  /// Published maps after publish() are bit-identical for any pool size
-  /// and any shard count.
-  /// @throws std::out_of_range on an unknown road id.
+  /// Deterministic batch ingest: routes every upload whole to its road's
+  /// shard and applies each shard's uploads in upload order (shards run
+  /// concurrently on the pool when given). An upload whose odometry misses
+  /// its road's grid is skipped. Published maps after publish() are
+  /// bit-identical for any pool size and any shard count.
+  /// @throws std::out_of_range on an unknown road id, and
+  /// std::invalid_argument on an upload without odometry, before any
+  /// upload is applied.
   void ingest(const std::vector<TrackUpload>& uploads,
               runtime::ThreadPool* pool = nullptr);
 
-  /// Thread-safe streaming ingest of a single upload (locks only the
-  /// shards its tiles hash to, in ascending shard order). Concurrent
-  /// callers race for per-cell accumulation order — deterministic only
-  /// from a single thread.
+  /// Thread-safe streaming ingest of a single upload (locks only its
+  /// road's shard). Concurrent callers race for per-cell accumulation
+  /// order — deterministic only from a single thread.
   void ingest_one(const TrackUpload& upload);
 
   /// Publish a new snapshot (epoch + 1) and swap it in. Only the roads
-  /// ingested into since the previous publish are rebuilt from the
-  /// shards' current sums (every road after construction or rebalance);
-  /// every other road's view is the previous snapshot's view object,
-  /// which is bit-identical to rebuilding it. Ingest proceeds concurrently
-  /// except for the brief per-shard finalize (on the pool when given);
+  /// ingested into since the previous publish are rebuilt from their
+  /// accumulators (every road after construction or rebalance); every
+  /// other road's view is the previous snapshot's view object, which is
+  /// bit-identical to rebuilding it. Ingest proceeds concurrently except
+  /// for the brief per-shard finalize (on the pool when given);
   /// an upload that lands during the publish is rebuilt again by the
   /// next one, so none is lost. Readers are never blocked: they keep the
   /// previous buffer until the O(1) pointer swap. Returns the new epoch.
@@ -226,56 +217,52 @@ class MapService {
   std::shared_ptr<const ServiceSnapshot> snapshot() const;
   std::uint64_t epoch() const;
 
-  /// All shards' sums for one road merged into a single accumulator over
-  /// the road's full grid — exact (tiles partition cells, so each cell's
-  /// sums come from exactly one shard). The rebalance/audit path.
+  /// A copy of the road's accumulator, taken under its owner shard's
+  /// lock. The audit path.
   core::FusionAccumulator merged_accumulator(RoadId id) const;
   /// merged_accumulator finalized to the served view of one road.
   RoadView merged_road_view(RoadId id) const;
 
-  /// Re-partition onto a different shard count by merging every tile's
-  /// cell range out of the old shards (exact; published maps before and
-  /// after are bit-identical). NOT safe concurrently with ingest_one /
-  /// ingest / publish — quiesce writers first.
+  /// Re-partition onto a different shard count: every road's accumulator
+  /// moves to its new owner unchanged (published maps before and after are
+  /// bit-identical). NOT safe concurrently with ingest_one / ingest /
+  /// publish — quiesce writers first.
   void rebalance(std::size_t new_n_shards);
 
-  /// The road's matcher served from its home shard's cache (thread-safe).
+  /// The road's matcher served from its owner shard's cache (thread-safe).
   std::shared_ptr<const core::RoadMatcher> matcher(RoadId id) const;
 
-  /// Per-shard counters restart at zero on rebalance() (tiles move to
+  /// Per-shard counters restart at zero on rebalance() (roads move to
   /// different shards, so the old attribution is meaningless).
   std::vector<ShardStats> shard_stats() const;
   /// Durable service-level ingest total: every sample of every upload
-  /// that touches its road's grid, counted exactly once (each sample is
-  /// booked to the one tile whose half-open key span holds it; the end
-  /// tiles extend to -inf/+inf). Unlike the per-shard stats this survives
-  /// rebalance(), so conservation checks (samples in == samples
-  /// accounted) hold across any re-sharding schedule.
+  /// whose odometry touches its road's grid, counted once. Unlike the
+  /// per-shard stats this survives rebalance(), so conservation checks
+  /// (samples in == samples accounted) hold across any re-sharding
+  /// schedule.
   std::uint64_t total_samples_ingested() const {
     return samples_total_.load(std::memory_order_relaxed);
   }
 
  private:
   struct Shard;
-  struct SubTrack;  // one upload's cell range on one shard
 
-  void split_upload(const TrackUpload& upload, std::size_t upload_index,
-                    std::vector<std::vector<SubTrack>>& per_shard) const;
-  /// Add one shard's items, in order, under its lock and book the tracks
-  /// and samples they carry (no-op for an empty list).
-  void apply_to_shard(std::size_t s, const std::vector<SubTrack>& items);
+  /// Whether the upload's odometry touches its road's grid (an upload
+  /// that misses it adds nothing and is not counted).
+  /// @throws std::invalid_argument on an upload without odometry.
+  bool on_grid(const TrackUpload& upload) const;
+  /// Add one shard's uploads, in order, under its lock and book the
+  /// tracks and samples they carry (no-op for an empty list).
+  void apply_to_shard(std::size_t s,
+                      const std::vector<const TrackUpload*>& uploads);
   void check_road(RoadId id) const;
   void build_shards(std::size_t n_shards);
 
   road::RoadNetwork network_;
   MapServiceConfig cfg_;
-  std::vector<core::FusionGrid> grids_;        ///< per road
-  std::vector<std::size_t> cells_per_tile_;    ///< per road
-  std::vector<std::size_t> tiles_per_road_;    ///< per road
-  /// Per road, per tile: the owning shard (tile_hash % n_shards), fixed
-  /// between build_shards() calls.
-  std::vector<std::vector<std::uint32_t>> tile_shard_;
-  std::size_t n_tiles_ = 0;
+  /// Per road: its accumulator over the road's full grid. The sums are
+  /// guarded by the owner shard's lock; the grid never changes.
+  std::vector<core::FusionAccumulator> acc_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<std::uint64_t> samples_total_{0};  ///< rebalance-durable

@@ -388,7 +388,6 @@ void run_matcher_stage(FuzzReport& report, const core::RoadMatcher& matcher,
 service::MapServiceConfig service_config(std::size_t n_shards) {
   service::MapServiceConfig cfg;
   cfg.n_shards = n_shards;
-  cfg.tile_length_m = 400.0;  // several tiles on a ~2.5 km hostile road
   cfg.fusion.distance_step_m = 5.0;
   return cfg;
 }
@@ -495,9 +494,10 @@ void run_service_stage(FuzzReport& report, const road::RoadNetwork& network,
     check(report, monotone,
           "service: per-cell coverage not monotone across publishes");
     // Split-batch ingest then rebalance must still match the reference
-    // exactly (same upload order; tiles partition cells), and the durable
-    // ingest total must survive the re-sharding (regression: rebalance
-    // used to zero it by resetting the per-shard counters it summed).
+    // exactly (same upload order on each road's one accumulator), and the
+    // durable ingest total must survive the re-sharding (regression:
+    // rebalance used to zero it by resetting the per-shard counters it
+    // summed).
     const std::uint64_t ingested_before = svc.total_samples_ingested();
     svc.rebalance(opts.shard_counts.front());
     svc.publish();

@@ -194,7 +194,7 @@ TEST(FusionAccumulator, ParallelAddDeterministicAcrossThreadCounts) {
   }
 }
 
-// ---- sparse snapshots and the tile-splitting primitives ----------------
+// ---- sparse snapshots ----------------------------------------------------
 
 TEST(FusionAccumulator, SnapshotCoveredFullCoverageBitIdentical) {
   const auto tracks = synth_fleet(8, 4000.0);
@@ -249,7 +249,7 @@ TEST(FusionAccumulator, SnapshotCoveredThresholdBoundaryIsInclusive) {
   // Staircase coverage: cells 0..30 seen by 3 tracks, 31..60 by 2, 61..100
   // by 1. min_coverage == k must include every cell with coverage >= k and
   // exclude coverage k-1 exactly — an off-by-one here silently serves (or
-  // drops) an entire tile edge.
+  // drops) an entire coverage step.
   FusionGrid grid{0.0, 1000.0, 10.0, 101};
   FusionAccumulator acc{grid, FusionConfig{}};
   acc.add_track(synth_track(1, 0.0, 1000.0, 400));  // cells 0..100
@@ -285,28 +285,6 @@ TEST(FusionAccumulator, SnapshotCoveredThresholdBoundaryIsInclusive) {
   }
 }
 
-TEST(FusionAccumulator, AddTrackCellsSplitBitIdenticalToUnsplitAdd) {
-  FusionGrid grid{0.0, 1000.0, 10.0, 101};
-  const GradeTrack tr = synth_track(7, 123.0, 881.0, 300);
-
-  FusionAccumulator whole{grid, FusionConfig{}};
-  whole.add_track(tr);
-  FusionAccumulator split{grid, FusionConfig{}};
-  split.add_track_cells(tr, 0, 35);   // "tile" 0, mostly before the track
-  split.add_track_cells(tr, 35, 70);  // interior boundary mid-track
-  split.add_track_cells(tr, 70, 999);  // cell_end clamps to the grid
-
-  const auto a = whole.snapshot_covered();
-  const auto b = split.snapshot_covered();
-  EXPECT_EQ(a.cells, b.cells);
-  EXPECT_EQ(a.coverage, b.coverage);
-  expect_bit_identical(a.track, b.track);
-  // tracks_added counts sub-range applications, not distinct tracks.
-  EXPECT_EQ(split.tracks_added(), 3u);
-
-  EXPECT_THROW(split.add_track_cells(tr, 5, 2), std::invalid_argument);
-}
-
 TEST(FusionAccumulator, MergeErrorNamesMismatchedField) {
   const FusionGrid grid{0.0, 100.0, 5.0, 21};
   const FusionConfig cfg;
@@ -338,32 +316,6 @@ TEST(FusionAccumulator, MergeErrorNamesMismatchedField) {
   FusionConfig step_cfg = cfg;
   step_cfg.distance_step_m = 10.0;
   expect_names(grid, step_cfg, "distance_step_m");
-}
-
-TEST(FusionAccumulator, MergeCellsSeedsOnlyTheRequestedRange) {
-  FusionGrid grid{0.0, 1000.0, 10.0, 101};
-  FusionAccumulator full{grid, FusionConfig{}};
-  full.add_track(synth_track(11, 0.0, 1000.0, 400));
-
-  // Seed two halves into separate accumulators, then merge them back:
-  // the round trip must be bit-identical (tiles partition cells).
-  FusionAccumulator lo{grid, FusionConfig{}};
-  FusionAccumulator hi{grid, FusionConfig{}};
-  lo.merge_cells(full, 0, 50);
-  hi.merge_cells(full, 50, grid.n);
-  FusionAccumulator rebuilt{grid, FusionConfig{}};
-  rebuilt.merge(lo);
-  rebuilt.merge(hi);
-
-  const auto a = full.snapshot_covered();
-  const auto b = rebuilt.snapshot_covered();
-  EXPECT_EQ(a.cells, b.cells);
-  EXPECT_EQ(a.coverage, b.coverage);
-  expect_bit_identical(a.track, b.track);
-
-  const auto lo_snap = lo.snapshot_covered();
-  ASSERT_FALSE(lo_snap.cells.empty());
-  EXPECT_LT(lo_snap.cells.back(), 50u);
 }
 
 // ---- cursor paths vs reference -----------------------------------------

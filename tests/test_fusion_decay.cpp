@@ -251,7 +251,6 @@ TEST(FusionDecay, EvictionIsCountedWhenObservabilityOn) {
 service::MapServiceConfig decayed_config(std::size_t n_shards) {
   service::MapServiceConfig cfg;
   cfg.n_shards = n_shards;
-  cfg.tile_length_m = 500.0;
   cfg.fusion.distance_step_m = 5.0;
   cfg.fusion.decay_tau_s = 900.0;
   return cfg;

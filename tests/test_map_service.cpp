@@ -1,10 +1,10 @@
 // Integration tests for the sharded map service.
 //
-// The load-bearing contract is determinism: tracks crossing tile
-// boundaries are split at boundary cell indices (a pure function of the
-// road's fusion grid), each shard applies its work in upload order, and
-// the published multi-shard map is therefore bit-identical to single-shard
-// serial fusion across 1/2/8-thread pools and 1/4/16 shards. On top of
+// The load-bearing contract is determinism: every road has one
+// accumulator on one owner shard, each shard applies its uploads in upload
+// order, and the published multi-shard map is therefore bit-identical to
+// single-shard serial fusion across 1/2/8-thread pools and 1/4/16 shards.
+// On top of
 // that: epoch/double-buffered snapshots (readers keep a pinned immutable
 // buffer while ingest continues, and consecutive snapshots share the view
 // of every road a publish did not rebuild), exact rebalancing, per-shard
@@ -118,59 +118,60 @@ road::RoadNetwork small_city() {
 MapServiceConfig base_config(std::size_t n_shards) {
   MapServiceConfig cfg;
   cfg.n_shards = n_shards;
-  cfg.tile_length_m = 500.0;  // several tiles per road on the small city
   cfg.fusion.distance_step_m = 5.0;
   return cfg;
 }
 
-// ---- tiling -------------------------------------------------------------
+// ---- ownership ----------------------------------------------------------
 
-TEST(MapService, TilePartitionCoversEveryCellExactlyOnce) {
-  const MapService svc(small_city(), base_config(4));
-  std::size_t tiles_total = 0;
-  for (RoadId r = 0; r < svc.n_roads(); ++r) {
-    const std::size_t tiles = svc.tiles_of(r);
-    tiles_total += tiles;
-    ASSERT_GE(tiles, 1u);
-    // Tile t owns cells [t*cpt, (t+1)*cpt): with cpt constant per road,
-    // the union is [0, grid.n) and the pieces are disjoint by
-    // construction; spot-check that the count adds up and the
-    // shard assignment is stable and in range.
-    for (std::size_t t = 0; t < tiles; ++t) {
-      const std::size_t s = svc.shard_of_tile(r, t);
+TEST(MapService, EveryRoadHasOneOwnerShard) {
+  const road::RoadNetwork net = small_city();
+  for (const std::size_t n_shards : {1u, 4u, 16u}) {
+    SCOPED_TRACE("shards " + std::to_string(n_shards));
+    MapService svc(net, base_config(n_shards));
+    for (RoadId r = 0; r < svc.n_roads(); ++r) {
+      const std::size_t s = svc.shard_of(r);
       EXPECT_LT(s, svc.n_shards());
-      EXPECT_EQ(s, svc.shard_of_tile(r, t));
+      EXPECT_EQ(s, svc.shard_of(r));
     }
-    // Roads longer than one tile really do split.
-    if (svc.road(r).length_m() > 2.0 * svc.config().tile_length_m) {
-      EXPECT_GE(tiles, 2u) << "road " << r;
+    std::size_t owned = 0;
+    for (const auto& st : svc.shard_stats()) owned += st.n_roads;
+    EXPECT_EQ(owned, svc.n_roads());
+
+    // After a rebalance the owners are those of a fresh service built
+    // with the new shard count.
+    for (const std::size_t k : {1u, 4u, 16u}) {
+      svc.rebalance(k);
+      const MapService fresh(net, base_config(k));
+      for (RoadId r = 0; r < svc.n_roads(); ++r) {
+        EXPECT_EQ(svc.shard_of(r), fresh.shard_of(r)) << "road " << r;
+      }
+      const auto got = svc.shard_stats();
+      const auto want = fresh.shard_stats();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t s = 0; s < got.size(); ++s) {
+        EXPECT_EQ(got[s].n_roads, want[s].n_roads) << "shard " << s;
+      }
     }
   }
-  EXPECT_EQ(tiles_total, svc.n_tiles());
 }
 
 // ---- determinism matrix -------------------------------------------------
 
 TEST(MapService, SampleCountConservesGapAndOffGridSamples) {
-  // Samples in the gap between one tile's last cell and the next tile's
-  // first, exactly on a tile boundary, and beyond both grid ends must each
-  // be booked exactly once; an upload that misses the grid books none.
+  // Samples beyond both grid ends, exactly on the ends, on cells and in
+  // the gaps between cells must each be booked exactly once; an upload
+  // that misses the grid books none.
   const road::RoadNetwork net = small_city();
-  const MapServiceConfig cfg = base_config(1);
-  const MapService probe(net, cfg);
-  RoadId road = 0;
-  while (road + 1 < probe.n_roads() && probe.tiles_of(road) < 3) ++road;
-  ASSERT_GE(probe.tiles_of(road), 3u);
+  const MapService probe(net, base_config(1));
+  const RoadId road = 0;
   const core::FusionGrid& grid = probe.grid(road);
-  const auto cpt = static_cast<std::size_t>(
-      std::llround(cfg.tile_length_m / cfg.fusion.distance_step_m));
+  ASSERT_GE(grid.n, 8u);
 
   std::vector<double> keys = {grid.lo - 40.0, grid.lo - 1.0, grid.lo};
-  for (std::size_t t = 1; t < probe.tiles_of(road); ++t) {
-    const double edge = grid.at(t * cpt);
-    const double prev = grid.at(t * cpt - 1);
-    keys.push_back(0.5 * (prev + edge));  // inter-tile gap
-    keys.push_back(edge);                 // first key of the next tile
+  for (std::size_t i = 1; i + 1 < grid.n; i += grid.n / 5) {
+    keys.push_back(grid.at(i));                           // on a cell
+    keys.push_back(0.5 * (grid.at(i) + grid.at(i + 1)));  // between cells
   }
   keys.push_back(grid.hi);
   keys.push_back(grid.hi + 2.0);
@@ -208,6 +209,8 @@ TEST(MapService, SampleCountConservesGapAndOffGridSamples) {
         per_shard += st.samples_ingested;
       }
       EXPECT_EQ(per_shard, keys.size());
+      // The off-grid upload added nothing, so the road holds one track.
+      EXPECT_EQ(svc.merged_accumulator(road).tracks_added(), 1u);
     }
   }
 }
@@ -240,8 +243,8 @@ TEST(MapService, BitIdenticalAcrossPoolSizesAndShardCounts) {
       svc.publish(&pool);
       expect_snapshots_identical(*svc.snapshot(), *want);
 
-      // Per-shard sums are a function of the tiling only — identical for
-      // every pool size at a fixed shard count.
+      // Per-shard sums are a function of road ownership only — identical
+      // for every pool size at a fixed shard count.
       const auto stats = svc.shard_stats();
       ASSERT_EQ(stats.size(), n_shards);
       if (n_threads == 1u) {
@@ -260,42 +263,6 @@ TEST(MapService, BitIdenticalAcrossPoolSizesAndShardCounts) {
       }
     }
   }
-}
-
-TEST(MapService, BoundarySplitMatchesUnshardedAccumulator) {
-  // One long road, tiles much shorter than the track: the upload crosses
-  // many tile boundaries and lands on many shards, yet every covered
-  // cell must hold exactly what one unsplit add_track writes.
-  road::RoadBuilder b("split-road");
-  b.add_straight(1500.0, math::deg2rad(1.5));
-  b.add_straight(1500.0, math::deg2rad(-2.0));
-  road::RoadNetwork net;
-  net.add(road::NetworkRoad{b.build(), road::RoadClass::kArterial});
-
-  MapServiceConfig cfg = base_config(8);
-  cfg.tile_length_m = 200.0;  // ~15 tiles over 3 km
-  MapService svc(net, cfg);
-  ASSERT_GE(svc.tiles_of(0), 10u);
-
-  const auto up =
-      synth_upload(0, net.roads()[0].road, 5, 130.0, 2870.0, 900);
-  svc.ingest({up});
-
-  core::FusionAccumulator direct(svc.grid(0), cfg.fusion);
-  direct.add_track(up.track);
-  const auto want = direct.snapshot_covered();
-  const auto got = svc.merged_accumulator(0).snapshot_covered();
-  ASSERT_EQ(got.cells, want.cells);
-  ASSERT_EQ(got.coverage, want.coverage);  // 1 everywhere: no double adds
-  EXPECT_EQ(got.track.grade, want.track.grade);
-  EXPECT_EQ(got.track.grade_var, want.track.grade_var);
-  EXPECT_EQ(got.track.speed, want.track.speed);
-  EXPECT_EQ(got.track.t, want.track.t);
-  EXPECT_EQ(got.track.s, want.track.s);
-
-  const auto view = svc.merged_road_view(0);
-  EXPECT_EQ(view.cells, want.cells);
-  EXPECT_EQ(view.track.grade, want.track.grade);
 }
 
 TEST(MapService, IngestOneMatchesBatchIngestWhenSerial) {
@@ -516,13 +483,60 @@ TEST(MapServiceObs, OnePublishRecordsOneSpanPerPhase) {
   obs::set_tracing(false);
   const auto totals = obs::span_totals();
   obs::clear_trace();
-  for (const char* name :
-       {"service.publish", "service.publish.finalize",
-        "service.publish.stitch"}) {
+  for (const char* name : {"service.publish", "service.publish.finalize"}) {
     ASSERT_EQ(totals.count(name), 1u) << name;
     EXPECT_EQ(totals.at(name).count, 1) << name;
   }
 }
+
+#if RGE_OBS_ENABLED
+TEST(MapServiceObs, ShardCountersCountOnGridUploads) {
+  // One upload is one track on its owner shard; an upload that misses its
+  // road's grid is counted nowhere. The per-shard obs counters move by
+  // exactly the functional stats (deltas: the registry is process-global
+  // and shard names repeat across instances).
+  const road::RoadNetwork net = small_city();
+  std::vector<TrackUpload> batch = synth_fleet(net, 40, 37);
+  const std::size_t on_grid = batch.size();
+  for (std::size_t i = 0; i < 6; ++i) {
+    TrackUpload off = batch[i * 5];
+    for (double& k : off.track.s) k += 1e6;
+    batch.push_back(std::move(off));
+  }
+  const auto counter = [](const obs::MetricsSnapshot& snap,
+                          const std::string& name) {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? std::int64_t{0} : it->second;
+  };
+
+  obs::set_enabled(true);
+  for (const std::size_t n_shards : {1u, 4u, 16u}) {
+    SCOPED_TRACE("shards " + std::to_string(n_shards));
+    MapService svc(net, base_config(n_shards));
+    const auto before = obs::Registry::global().snapshot();
+    runtime::ThreadPool pool(2);
+    svc.ingest(batch, &pool);
+    svc.ingest_one(batch.back());  // off-grid: counted nowhere
+    const auto after = obs::Registry::global().snapshot();
+
+    std::uint64_t tracks = 0;
+    for (const auto& st : svc.shard_stats()) {
+      tracks += st.tracks_ingested;
+      const std::string prefix = "service.shard" + std::to_string(st.shard);
+      EXPECT_EQ(counter(after, prefix + ".tracks") -
+                    counter(before, prefix + ".tracks"),
+                static_cast<std::int64_t>(st.tracks_ingested))
+          << prefix;
+      EXPECT_EQ(counter(after, prefix + ".samples") -
+                    counter(before, prefix + ".samples"),
+                static_cast<std::int64_t>(st.samples_ingested))
+          << prefix;
+    }
+    EXPECT_EQ(tracks, on_grid);
+  }
+  obs::set_enabled(false);
+}
+#endif
 
 TEST(MapService, MatcherIsServedFromTheHomeShardCache) {
   const road::RoadNetwork net = small_city();
@@ -543,9 +557,9 @@ TEST(MapService, RejectsBadInputs) {
   EXPECT_THROW(MapService(road::RoadNetwork{}, base_config(4)),
                std::invalid_argument);
   EXPECT_THROW(MapService(net, base_config(0)), std::invalid_argument);
-  MapServiceConfig bad_tile = base_config(2);
-  bad_tile.tile_length_m = 0.0;
-  EXPECT_THROW(MapService(net, bad_tile), std::invalid_argument);
+  MapServiceConfig bad_step = base_config(2);
+  bad_step.fusion.distance_step_m = 0.0;
+  EXPECT_THROW(MapService(net, bad_step), std::invalid_argument);
 
   MapService svc(net, base_config(2));
   TrackUpload up = synth_fleet(net, 1, 1)[0];
@@ -553,7 +567,8 @@ TEST(MapService, RejectsBadInputs) {
   EXPECT_THROW(svc.ingest({up}), std::out_of_range);
   EXPECT_THROW(svc.ingest_one(up), std::out_of_range);
   EXPECT_THROW(svc.rebalance(0), std::invalid_argument);
-  EXPECT_THROW(svc.shard_of_tile(0, svc.tiles_of(0)), std::out_of_range);
+  EXPECT_THROW(svc.shard_of(static_cast<RoadId>(svc.n_roads())),
+               std::out_of_range);
   EXPECT_THROW(svc.matcher(static_cast<RoadId>(net.size())),
                std::out_of_range);
 }
@@ -613,8 +628,7 @@ TEST(MapService, ConcurrentIngestPublishSnapshotIsSafe) {
     expected_samples += up.track.s.size();
     serial.ingest_one(up);
   }
-  // Tiles partition each road's key line, so every sample of every
-  // upload is attributed to exactly one tile.
+  // Every upload touches its road's grid, so every sample is counted.
   EXPECT_EQ(svc.total_samples_ingested(), expected_samples);
   EXPECT_EQ(serial.total_samples_ingested(), expected_samples);
 
